@@ -187,6 +187,12 @@ impl FaultClasses {
         &self.classes
     }
 
+    /// Replaces one class's evaluation kind (fault injection in tests).
+    #[cfg(test)]
+    pub(crate) fn set_kind(&mut self, class: usize, kind: ClassKind) {
+        self.classes[class].kind = kind;
+    }
+
     /// Number of classes.
     pub fn len(&self) -> usize {
         self.classes.len()
@@ -507,9 +513,9 @@ mod tests {
     }
 
     #[test]
-    fn property_collapsed_warm_sweep_matches_uncollapsed_cold_reference() {
+    fn property_collapsed_lane_sweep_matches_uncollapsed_cold_reference() {
         use crate::effect::effect_of;
-        use crate::engine::AccessEngine;
+        use crate::engine::{AccessEngine, Accessibility, LANES};
         use crate::metric::analyze_faults_on;
 
         let mut rng = Rng(0x5eed_c011_a95e);
@@ -520,8 +526,35 @@ mod tests {
             let mut scratch = engine.scratch();
             for profile in [HardeningProfile::unhardened(), HardeningProfile::hardened()] {
                 let classes = FaultClasses::build(&rsn, &faults, profile);
-                // Per fault: the class representative's warm-start verdict
-                // must equal the fault's own cold-path verdict — the full
+                // Class representatives' lane verdicts, batched 1, 63 and
+                // 64 at a time: every batching must agree lane for lane.
+                let reps: Vec<(usize, &FaultEffect)> = classes
+                    .classes()
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(c, class)| match &class.kind {
+                        ClassKind::Effect(e) => Some((c, e)),
+                        _ => None,
+                    })
+                    .collect();
+                let mut lane_of: HashMap<usize, Accessibility> = HashMap::new();
+                for size in [1, LANES - 1, LANES] {
+                    for chunk in reps.chunks(size) {
+                        let effects: Vec<&FaultEffect> = chunk.iter().map(|&(_, e)| e).collect();
+                        let accs = engine.accessibility_batch(&effects, &mut scratch);
+                        for (&(c, _), acc) in chunk.iter().zip(accs) {
+                            if let Some(seen) = lane_of.get(&c) {
+                                assert_eq!(
+                                    seen, acc,
+                                    "round {round}: class {c} differs between batch sizes"
+                                );
+                            }
+                            lane_of.insert(c, acc.clone());
+                        }
+                    }
+                }
+                // Per fault: the class representative's lane verdict must
+                // equal the fault's own cold-path verdict — the full
                 // Accessibility, not just the fractions.
                 let mut sum_seg = 0.0f64;
                 let mut sum_bits = 0.0f64;
@@ -537,11 +570,11 @@ mod tests {
                             assert!(own.is_benign(), "round {round}: {fault} not benign");
                             (1.0, 1.0)
                         }
-                        ClassKind::Effect(rep) => {
-                            let warm = engine.accessibility(rep, &mut scratch);
+                        ClassKind::Effect(_) => {
+                            let lane = &lane_of[&classes.class_of(i)];
                             let cold = engine.accessibility_cold(&own, &mut scratch);
                             assert_eq!(
-                                warm, cold,
+                                *lane, cold,
                                 "round {round}: class rep diverges from member {fault} \
                                  (select_hardened {})",
                                 profile.select_hardened

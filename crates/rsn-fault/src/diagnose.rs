@@ -21,8 +21,8 @@ use std::collections::HashMap;
 
 use rsn_core::{NodeId, Rsn};
 
-use crate::effect::effect_of;
-use crate::engine::{AccessEngine, Scratch};
+use crate::effect::{effect_of, FaultEffect};
+use crate::engine::{AccessEngine, Scratch, LANES};
 use crate::fault::{fault_universe, Fault};
 use crate::metric::HardeningProfile;
 use crate::sweep::run_stealing;
@@ -116,23 +116,39 @@ impl FaultDictionary {
         let engine = AccessEngine::new(rsn);
         let faults = fault_universe(rsn);
         let threads = rsn_budget::default_threads().min(16);
-        // Predict signatures with the shared work-stealing scheduler, then
-        // group serially in fault order so each class lists its members
-        // deterministically.
+        // Predict signatures with the shared work-stealing scheduler, one
+        // bit-parallel pass per chunk of faults, then group serially in
+        // fault order so each class lists its members deterministically.
+        let segments: Vec<NodeId> = rsn.segments().collect();
         let signatures = run_stealing(
             faults.len(),
             threads,
+            LANES,
             || engine.scratch(),
-            |scratch, i| Signature::predicted_on(&engine, scratch, &faults[i], profile),
+            |scratch, chunk, out| {
+                let effects: Vec<FaultEffect> =
+                    chunk.map(|i| effect_of(rsn, &faults[i], profile)).collect();
+                let faulty: Vec<&FaultEffect> = effects.iter().filter(|e| !e.is_benign()).collect();
+                let mut accs = engine.accessibility_batch(&faulty, scratch).iter();
+                out.extend(effects.iter().map(|e| {
+                    if e.is_benign() {
+                        Signature {
+                            bits: vec![true; segments.len()],
+                        }
+                    } else {
+                        let acc = accs.next().expect("one verdict per faulty effect");
+                        Signature {
+                            bits: segments.iter().map(|s| acc.accessible[s.index()]).collect(),
+                        }
+                    }
+                }));
+            },
         );
         let mut classes: HashMap<Signature, Vec<Fault>> = HashMap::new();
         for (fault, sig) in faults.into_iter().zip(signatures) {
             classes.entry(sig).or_default().push(fault);
         }
-        FaultDictionary {
-            segments: rsn.segments().collect(),
-            classes,
-        }
+        FaultDictionary { segments, classes }
     }
 
     /// Number of distinct signature classes (diagnostic resolution).

@@ -25,12 +25,21 @@
 //! The fault-tolerance metric evaluates accessibility once per stuck-at
 //! fault, so everything that does not depend on the fault is precomputed
 //! once in [`AccessEngine::new`]: the dense control-bit index, reset
-//! values, roots/sinks, per-node edge lists with multiplexer input
-//! indices, and the multiplexer address expressions *compiled* against the
-//! dense index ([`CompiledExpr`]), so the per-fault fixed point evaluates
-//! over a flat `Vec<BitState>` instead of hash-map lookups. Per-fault
-//! working memory lives in a caller-owned [`Scratch`] so sweeps over
-//! thousands of faults allocate nothing in the hot loop.
+//! values, roots/sinks, CSR edge arrays with multiplexer input indices,
+//! and the multiplexer address expressions *compiled* against the dense
+//! index ([`CompiledExpr`]). Per-fault working memory lives in a
+//! caller-owned [`Scratch`] so sweeps over thousands of faults allocate
+//! nothing in the fixed point.
+//!
+//! Evaluation is bit-parallel: [`AccessEngine::accessibility_batch`]
+//! evaluates up to [`LANES`] fault effects at once, one bit lane of a
+//! `u64` word per effect. Every per-node, per-control-bit and
+//! per-multiplexer-input fact of the fixed point is a lane word, and the
+//! reachability passes are single sweeps over the dataflow DAG in
+//! topological order, so one pass serves all 64 effects.
+//! [`AccessEngine::accessibility`] is the one-lane call, and
+//! [`AccessEngine::accessibility_cold`] keeps the scalar depth-first
+//! evaluation as the reference twin.
 //!
 //! The free function [`accessibility`] remains as a one-shot convenience
 //! wrapper; any caller evaluating more than one fault should build an
@@ -41,6 +50,19 @@ use std::sync::Arc;
 use rsn_core::{CompiledExpr, Config, NodeId, NodeKind, Rsn};
 
 use crate::effect::FaultEffect;
+
+/// Number of fault effects one batch evaluates: one bit lane of a `u64`
+/// word per effect.
+pub const LANES: usize = 64;
+
+/// The mask of the first `lanes` lanes of a word.
+fn live_lanes(lanes: usize) -> u64 {
+    if lanes >= LANES {
+        !0
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
 
 /// Per-segment accessibility under one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,17 +182,50 @@ fn can_set(expr: &CompiledExpr, want: bool, states: &[BitState]) -> bool {
     }
 }
 
+/// The lane-word twin of [`can_set`], for both wanted values at once:
+/// bit `l` of element `v` of the result is set iff the expression can be
+/// made to evaluate to `v` in lane `l`. `can[i]` holds control bit `i`'s
+/// `[can0, can1]` lane words.
+fn can_set_lanes(expr: &CompiledExpr, can: &[[u64; 2]]) -> [u64; 2] {
+    match expr {
+        CompiledExpr::Const(b) => {
+            if *b {
+                [0, !0]
+            } else {
+                [!0, 0]
+            }
+        }
+        CompiledExpr::Bit(i) => can[*i as usize],
+        CompiledExpr::Input(_) => [!0, !0],
+        CompiledExpr::Unknown => [0, 0],
+        CompiledExpr::Not(e) => {
+            let [c0, c1] = can_set_lanes(e, can);
+            [c1, c0]
+        }
+        CompiledExpr::And(es) => es.iter().fold([0, !0], |[c0, c1], e| {
+            let [e0, e1] = can_set_lanes(e, can);
+            [c0 | e0, c1 & e1]
+        }),
+        CompiledExpr::Or(es) => es.iter().fold([!0, 0], |[c0, c1], e| {
+            let [e0, e1] = can_set_lanes(e, can);
+            [c0 & e0, c1 | e1]
+        }),
+    }
+}
+
 /// One dataflow edge in the flat CSR adjacency arrays. `other` is the
 /// far endpoint (target for forward edges, source for backward edges);
 /// `slot` is the guarding multiplexer's slot (`u32::MAX` for plain
-/// edges) and `k` its input index. The guarding mux is the edge's target
-/// node in both directions, so its slot is inlined here to keep the
-/// flood inner loop free of `mux_slot` indirections.
+/// edges), `k` its input index and `input` the flat index of that
+/// multiplexer input (`u32::MAX` for plain edges). The guarding mux is
+/// the edge's target node in both directions, so its slot is inlined here
+/// to keep the traversal inner loops free of `mux_slot` indirections.
 #[derive(Debug, Clone, Copy)]
 struct CsrEdge {
     other: u32,
     slot: u32,
     k: u32,
+    input: u32,
 }
 
 const NO_MUX: u32 = u32::MAX;
@@ -182,17 +237,17 @@ struct MuxInfo {
     node: NodeId,
     addr: Vec<CompiledExpr>,
     inputs: u32,
-    /// Driving node of each input, in input order (for incremental edge
-    /// enabling: mask bit `k` gained ⇒ edge `input_nodes[k] → node`).
-    input_nodes: Vec<NodeId>,
+    /// Flat index of input 0; inputs occupy `first_input..first_input +
+    /// inputs` of the per-input lane arrays.
+    first_input: u32,
 }
 
 /// Reusable, fault-independent accessibility engine over one network.
 ///
 /// Construction precomputes the dense control-bit index, reset states,
-/// roots/sinks, per-node edge lists and compiled multiplexer addresses;
-/// [`AccessEngine::accessibility`] then evaluates one [`FaultEffect`]
-/// using caller-owned [`Scratch`] buffers.
+/// roots/sinks, CSR edge arrays and compiled multiplexer addresses;
+/// [`AccessEngine::accessibility_batch`] then evaluates up to [`LANES`]
+/// [`FaultEffect`]s per pass using caller-owned [`Scratch`] buffers.
 ///
 /// # Example
 ///
@@ -218,14 +273,21 @@ pub struct AccessEngine {
     roots: Vec<NodeId>,
     /// Dataflow sinks (primary + secondary scan-out).
     sinks: Vec<NodeId>,
+    /// `is_root[node.index()]`: the forward lane pass's seeds.
+    is_root: Vec<bool>,
+    /// `is_sink[node.index()]`: the backward lane pass's seeds.
+    is_sink: Vec<bool>,
     /// Compiled multiplexers, in arena order.
     muxes: Vec<MuxInfo>,
+    /// Total number of multiplexer inputs (length of the per-input lane
+    /// arrays).
+    mux_inputs: usize,
     /// node index → index into `muxes` (`u32::MAX` for non-mux nodes).
     mux_slot: Vec<u32>,
     /// CSR offsets into `fwd_edges` (length `node_count + 1`).
     fwd_off: Vec<u32>,
     /// Successor edges, grouped by source node (CSR layout — one flat
-    /// allocation so the flood inner loops stay cache-resident).
+    /// allocation so the traversal inner loops stay cache-resident).
     fwd_edges: Vec<CsrEdge>,
     /// CSR offsets into `bwd_edges` (length `node_count + 1`).
     bwd_off: Vec<u32>,
@@ -235,77 +297,69 @@ pub struct AccessEngine {
     segments: Vec<(NodeId, u64)>,
     /// Total scan bits over all segments.
     total_bits: u64,
+    /// The `accessible` vector of a fault-free verdict: `true` at every
+    /// segment node.
+    all_accessible: Vec<bool>,
     /// Cached reset configuration.
     reset: Config,
-    /// Per-mux configurability masks under the reset control-bit states
-    /// (the fault-free round-1 masks — every warm start copies these).
-    reset_masks: Vec<u64>,
-    /// Fault-free round-1 any-reachability from roots under `reset_masks`.
-    /// Any-traversals ignore corruption, so effects without forced bits or
-    /// a forced mux can memcpy this instead of re-walking the network.
-    baseline_reach_any: Vec<bool>,
-    /// Fault-free round-1 any-exit (backward from sinks) under
-    /// `reset_masks`; same reuse rule as `baseline_reach_any`.
-    baseline_exit_any: Vec<bool>,
-    /// Dense bit index → mux slots whose address reads that bit (the
-    /// dirty-frontier dependency index: a promoted bit only re-derives the
-    /// masks of these muxes).
-    bit_muxes: Vec<Vec<u32>>,
-    /// Number of distinct control bits each mux's address reads.
-    mux_dep_count: Vec<u32>,
-    /// Per-mux configurability masks with every control bit fully
-    /// controllable. A mux whose address deps are all `both` must have
-    /// exactly this mask (`can_set` only reads the deps), so the warm
-    /// path's delta rounds copy it instead of re-evaluating the address
-    /// expressions — the dominant cost of a sweep on synthesized
-    /// networks.
-    full_masks: Vec<u64>,
-    /// `true` if any mux has more than 64 inputs: those edges bypass the
-    /// mask fast path, so incremental mask deltas cannot see them and the
-    /// engine falls back to the cold whole-network fixed point.
-    wide_mux: bool,
 }
 
 /// Caller-owned per-fault working memory of an [`AccessEngine`].
 ///
-/// One `Scratch` serves any number of sequential `accessibility` calls on
-/// the engine that created it; parallel sweeps use one per worker.
+/// One `Scratch` serves any number of sequential evaluations on the
+/// engine that created it; parallel sweeps use one per worker. The
+/// `lane_*` words hold one bit per effect of the current batch.
 #[derive(Debug, Clone)]
 pub struct Scratch {
-    /// Attainable-value state per dense control bit.
+    /// Attainable-value state per dense control bit (cold path).
     states: Vec<BitState>,
-    /// Per-node cleanliness under the current fault.
+    /// Per-node cleanliness under the current fault (cold path).
     clean: Vec<bool>,
     reach_clean: Vec<bool>,
     reach_any: Vec<bool>,
-    /// Backward any-reachability from sinks (the fixed point's exit set).
+    /// Backward any-reachability from sinks (the cold fixed point's exit
+    /// set).
     can_exit: Vec<bool>,
-    /// Backward *clean* reachability from sinks (the final verdict's exit
-    /// set — kept separate so the warm path never clobbers `can_exit`).
+    /// Backward *clean* reachability from sinks (the cold verdict's exit
+    /// set).
     exit_clean: Vec<bool>,
-    /// DFS stack shared by all traversals.
+    /// DFS stack shared by the cold traversals.
     stack: Vec<NodeId>,
-    /// Per-mux configurable-input bitmask for the current round (bit `k`
-    /// set ⇔ input `k` selectable; inputs ≥ 64 use the slow path).
+    /// Per-mux configurable-input bitmask for the current cold round (bit
+    /// `k` set ⇔ input `k` selectable; inputs ≥ 64 use the slow path).
     mux_mask: Vec<u64>,
     /// Per-address-bit `(can0, can1)` staging used while building masks.
     addr_can: Vec<(bool, bool)>,
-    /// Warm-path worklist: dense bit indices not yet fully controllable.
-    pending: Vec<u32>,
-    /// Warm-path bits promoted in the current round.
-    changed: Vec<u32>,
-    /// Warm-path mux slots whose mask may have grown this round.
-    touched: Vec<u32>,
-    /// Per-slot dedup stamp for `touched` (`== stamp` ⇔ already queued
-    /// this round); replaces a sort + dedup in the round hot loop.
-    touch_stamp: Vec<u32>,
-    /// Current round's stamp value.
-    stamp: u32,
-    /// Per-mux count of address deps not yet fully controllable; at zero
-    /// the mask is the engine's precomputed `full_masks` entry.
-    deps_not_both: Vec<u32>,
-    /// Warm-path newly enabled edges `(src, mux, input)` this round.
-    new_edges: Vec<(NodeId, NodeId, u32)>,
+    /// Per node: lanes in which the node is clean.
+    lane_clean: Vec<u64>,
+    /// Per node: lanes in which the segment loses its instrument access.
+    lane_loss: Vec<u64>,
+    /// Per node: `[clean, any]` forward reachability from the roots.
+    lane_reach: Vec<[u64; 2]>,
+    /// Per node: backward reachability from the sinks (any during the
+    /// fixed point, clean for the verdict).
+    lane_exit: Vec<u64>,
+    /// Per control bit: `[can0, can1]` attainable values.
+    lane_can: Vec<[u64; 2]>,
+    /// Per control bit: lanes in which the fault pins the bit.
+    lane_pinned: Vec<u64>,
+    /// Per mux input: `[clean, any]` usability — selectable and, for the
+    /// clean word, not corrupted.
+    lane_conf: Vec<[u64; 2]>,
+    /// Per mux input: lanes in which the input edge is corrupted.
+    lane_corrupt: Vec<u64>,
+    /// Per mux input: lanes whose pinned address selects this input.
+    lane_forced_on: Vec<u64>,
+    /// Per mux: lanes in which the fault pins the address.
+    lane_forced: Vec<u64>,
+    /// Per address bit: `[can0, can1]` staging while building lane masks.
+    lane_addr: Vec<[u64; 2]>,
+    /// `[stuck at 0, stuck at 1]`: lanes whose effect records that
+    /// stuck value.
+    lane_stuck: [u64; 2],
+    /// Verdicts of the last batch, one per lane (buffers reused across
+    /// batches).
+    verdicts: Vec<Accessibility>,
 }
 
 // Compile-time guarantee: the engine stays shareable across threads
@@ -364,6 +418,7 @@ impl AccessEngine {
             bits.binary_search(&(node, bit)).ok().map(|i| i as u32)
         };
         let mut muxes = Vec::new();
+        let mut mux_inputs = 0u32;
         let mut mux_slot = vec![u32::MAX; n];
         let mut fwd: Vec<Vec<CsrEdge>> = vec![Vec::new(); n];
         let mut bwd: Vec<Vec<CsrEdge>> = vec![Vec::new(); n];
@@ -380,33 +435,30 @@ impl AccessEngine {
                             .map(|e| e.compile(&mut |node, bit| lookup(node, bit)))
                             .collect(),
                         inputs: m.inputs.len() as u32,
-                        input_nodes: m.inputs.clone(),
+                        first_input: mux_inputs,
                     });
                     for (k, &inp) in m.inputs.iter().enumerate() {
-                        fwd[inp.index()].push(CsrEdge {
-                            other: id.index() as u32,
+                        let edge = |other: usize| CsrEdge {
+                            other: other as u32,
                             slot,
                             k: k as u32,
-                        });
-                        bwd[id.index()].push(CsrEdge {
-                            other: inp.index() as u32,
-                            slot,
-                            k: k as u32,
-                        });
+                            input: mux_inputs + k as u32,
+                        };
+                        fwd[inp.index()].push(edge(id.index()));
+                        bwd[id.index()].push(edge(inp.index()));
                     }
+                    mux_inputs += m.inputs.len() as u32;
                 }
                 _ => {
                     if let Some(src) = rsn.node(id).source() {
-                        fwd[src.index()].push(CsrEdge {
-                            other: id.index() as u32,
+                        let edge = |other: usize| CsrEdge {
+                            other: other as u32,
                             slot: NO_MUX,
                             k: 0,
-                        });
-                        bwd[id.index()].push(CsrEdge {
-                            other: src.index() as u32,
-                            slot: NO_MUX,
-                            k: 0,
-                        });
+                            input: NO_MUX,
+                        };
+                        fwd[src.index()].push(edge(id.index()));
+                        bwd[id.index()].push(edge(src.index()));
                     }
                 }
             }
@@ -428,6 +480,14 @@ impl AccessEngine {
         roots.extend(rsn.secondary_scan_in());
         let mut sinks = vec![rsn.scan_out()];
         sinks.extend(rsn.secondary_scan_out());
+        let mut is_root = vec![false; n];
+        for r in &roots {
+            is_root[r.index()] = true;
+        }
+        let mut is_sink = vec![false; n];
+        for s in &sinks {
+            is_sink[s.index()] = true;
+        }
 
         let segments: Vec<(NodeId, u64)> = rsn
             .segments()
@@ -442,32 +502,21 @@ impl AccessEngine {
             })
             .collect();
         let total_bits = segments.iter().map(|&(_, l)| l).sum();
-
-        // Bit → mux dependency index and the wide-mux escape hatch.
-        let mut bit_muxes: Vec<Vec<u32>> = vec![Vec::new(); bits.len()];
-        let mut mux_dep_count = vec![0u32; muxes.len()];
-        let mut refs = Vec::new();
-        for (slot, info) in muxes.iter().enumerate() {
-            for e in &info.addr {
-                e.collect_bits(&mut refs);
-            }
-            refs.sort_unstable();
-            refs.dedup();
-            mux_dep_count[slot] = refs.len() as u32;
-            for &b in &refs {
-                bit_muxes[b as usize].push(slot as u32);
-            }
-            refs.clear();
+        let mut all_accessible = vec![false; n];
+        for &(seg, _) in &segments {
+            all_accessible[seg.index()] = true;
         }
-        let wide_mux = muxes.iter().any(|m| m.inputs > 64);
 
-        let mut engine = AccessEngine {
+        AccessEngine {
             rsn: Arc::clone(&rsn_arc),
             bits,
             reset_states,
             roots,
             sinks,
+            is_root,
+            is_sink,
             muxes,
+            mux_inputs: mux_inputs as usize,
             mux_slot,
             fwd_off,
             fwd_edges,
@@ -475,35 +524,9 @@ impl AccessEngine {
             bwd_edges,
             segments,
             total_bits,
+            all_accessible,
             reset,
-            reset_masks: Vec::new(),
-            baseline_reach_any: Vec::new(),
-            baseline_exit_any: Vec::new(),
-            bit_muxes,
-            mux_dep_count,
-            full_masks: Vec::new(),
-            wide_mux,
-        };
-
-        // Fault-free baseline caches: reset-state masks, the round-1
-        // any-traversals, and the all-bits-controllable masks. Computed
-        // once per engine; every warm start copies these instead of
-        // re-deriving them.
-        let benign = FaultEffect::benign();
-        let mut scratch = engine.scratch();
-        scratch.states.copy_from_slice(&engine.reset_states);
-        engine.refresh_masks(&benign, &mut scratch);
-        engine.reset_masks = scratch.mux_mask.clone();
-        engine.forward(&benign, &mut scratch, false);
-        engine.backward(&benign, &mut scratch, false);
-        engine.baseline_reach_any = scratch.reach_any.clone();
-        engine.baseline_exit_any = scratch.can_exit.clone();
-        for s in scratch.states.iter_mut() {
-            *s = s.both();
         }
-        engine.refresh_masks(&benign, &mut scratch);
-        engine.full_masks = scratch.mux_mask.clone();
-        engine
     }
 
     /// The network this engine was built for.
@@ -549,58 +572,326 @@ impl AccessEngine {
             stack: Vec::with_capacity(n),
             mux_mask: vec![0; self.muxes.len()],
             addr_can: Vec::with_capacity(8),
-            pending: Vec::with_capacity(self.bits.len()),
-            changed: Vec::new(),
-            touched: Vec::new(),
-            touch_stamp: vec![0; self.muxes.len()],
-            stamp: 0,
-            deps_not_both: vec![0; self.muxes.len()],
-            new_edges: Vec::new(),
+            lane_clean: vec![0; n],
+            lane_loss: vec![0; n],
+            lane_reach: vec![[0; 2]; n],
+            lane_exit: vec![0; n],
+            lane_can: vec![[0; 2]; self.bits.len()],
+            lane_pinned: vec![0; self.bits.len()],
+            lane_conf: vec![[0; 2]; self.mux_inputs],
+            lane_corrupt: vec![0; self.mux_inputs],
+            lane_forced_on: vec![0; self.mux_inputs],
+            lane_forced: vec![0; self.muxes.len()],
+            lane_addr: Vec::with_capacity(8),
+            lane_stuck: [0; 2],
+            verdicts: Vec::with_capacity(LANES),
+        }
+    }
+
+    /// Computes per-segment accessibility under one fault effect, reusing
+    /// the engine's precomputation and the caller's scratch buffers: a
+    /// one-lane [`AccessEngine::accessibility_batch`]. Sweeps over many
+    /// effects batch them instead.
+    pub fn accessibility(&self, effect: &FaultEffect, scratch: &mut Scratch) -> Accessibility {
+        self.accessibility_batch(&[effect], scratch)[0].clone()
+    }
+
+    /// Computes per-segment accessibility under each of up to [`LANES`]
+    /// `effects` in one bit-parallel pass; verdict `l` is `effects[l]`'s.
+    /// The verdicts live in `scratch` until its next evaluation, so a
+    /// sweep reuses their buffers instead of allocating per pass.
+    ///
+    /// Each lane follows exactly the round-by-round trajectory of
+    /// [`AccessEngine::accessibility_cold`] on its own effect; a batch
+    /// runs until no lane changes, and extra rounds leave an already
+    /// converged lane unchanged, so every verdict equals the one-effect
+    /// evaluation — the property tests enforce it lane for lane.
+    ///
+    /// # Panics
+    ///
+    /// If `effects` holds more than [`LANES`] effects.
+    pub fn accessibility_batch<'s>(
+        &self,
+        effects: &[&FaultEffect],
+        scratch: &'s mut Scratch,
+    ) -> &'s [Accessibility] {
+        assert!(
+            effects.len() <= LANES,
+            "one pass evaluates at most {LANES} effects, got {}",
+            effects.len()
+        );
+        if effects.is_empty() {
+            return &[];
+        }
+        let live = live_lanes(effects.len());
+        self.load_lanes(effects, scratch);
+        let rounds_run = self.fixed_point_lanes(scratch, live);
+        // One batched export per pass keeps registry lock contention out
+        // of the per-round hot loop.
+        rsn_obs::counter_add("fault.engine_rounds", rounds_run);
+        rsn_obs::hist_record("fault.warm_rounds", rounds_run);
+        rsn_obs::debug!(
+            "lane fixed point over {} effects converged after {rounds_run} rounds \
+             over {} control bits",
+            effects.len(),
+            self.bits.len()
+        );
+        self.pass_backward(scratch, true);
+        self.lane_verdicts(scratch, effects.len());
+        &scratch.verdicts[..effects.len()]
+    }
+
+    /// Loads up to [`LANES`] effects into the lane words of `s` (lane `l`
+    /// = `effects[l]`). Unused lanes load as benign.
+    fn load_lanes(&self, effects: &[&FaultEffect], s: &mut Scratch) {
+        debug_assert!(effects.len() <= LANES);
+        s.lane_clean.fill(!0);
+        s.lane_loss.fill(0);
+        s.lane_corrupt.fill(0);
+        s.lane_forced_on.fill(0);
+        s.lane_forced.fill(0);
+        s.lane_pinned.fill(0);
+        for (can, st) in s.lane_can.iter_mut().zip(&self.reset_states) {
+            *can = if st.can1 { [0, !0] } else { [!0, 0] };
+        }
+        s.lane_stuck = [0; 2];
+        for (l, effect) in effects.iter().enumerate() {
+            let bit = 1u64 << l;
+            // Same bootstrap as `load_effect`: corrupt nodes are unclean,
+            // fault-pinned bits fixed, all other bits at reset. Sites the
+            // cold path never matches (non-mux input edges, inputs out of
+            // range, unreferenced bits) are ignored here too.
+            for &c in &effect.corrupt_nodes {
+                s.lane_clean[c.index()] &= !bit;
+            }
+            for &(m, k) in &effect.corrupt_mux_inputs {
+                if let Some(input) = self.mux_input(m, k) {
+                    s.lane_corrupt[input] |= bit;
+                }
+            }
+            for (&(node, b), &v) in &effect.forced_bits {
+                if let Ok(i) = self.bits.binary_search(&(node, b)) {
+                    s.lane_pinned[i] |= bit;
+                    s.lane_can[i][v as usize] |= bit;
+                    s.lane_can[i][!v as usize] &= !bit;
+                }
+            }
+            for (&m, &k) in &effect.forced_mux {
+                if let Some(&slot) = self.mux_slot.get(m.index()) {
+                    if slot != NO_MUX {
+                        s.lane_forced[slot as usize] |= bit;
+                    }
+                }
+                if let Some(input) = self.mux_input(m, k) {
+                    s.lane_forced_on[input] |= bit;
+                }
+            }
+            for &seg in &effect.local_loss {
+                if let Some(w) = s.lane_loss.get_mut(seg.index()) {
+                    *w |= bit;
+                }
+            }
+            if let Some(v) = effect.stuck {
+                s.lane_stuck[v as usize] |= bit;
+            }
+        }
+    }
+
+    /// Flat input index of input `k` of mux `m`, or `None` if `m` is not
+    /// a mux of this network or has no input `k`.
+    fn mux_input(&self, m: NodeId, k: usize) -> Option<usize> {
+        let slot = *self.mux_slot.get(m.index())?;
+        let info = self.muxes.get(slot as usize)?;
+        (k < info.inputs as usize).then(|| (info.first_input as usize) + k)
+    }
+
+    /// The lane twin of [`AccessEngine::fixed_point`]: every round
+    /// rebuilds all input usability words, runs one forward and one
+    /// backward pass, and applies the same promotion rule to every lane at
+    /// once. Runs until no live lane promotes a bit (capped at
+    /// `2·bits + 1` rounds, like the cold path) and returns the number of
+    /// rounds run. On return `lane_reach` and `lane_conf` match the final
+    /// bit states.
+    fn fixed_point_lanes(&self, s: &mut Scratch, live: u64) -> u64 {
+        let mut rounds_run = 0u64;
+        let mut converged = false;
+        for _ in 0..=2 * self.bits.len() {
+            rounds_run += 1;
+            self.refresh_lane_masks(s);
+            self.pass_forward(s);
+            self.pass_backward(s, false);
+            let mut changed = false;
+            for (i, &(node, _)) in self.bits.iter().enumerate() {
+                let [c0, c1] = s.lane_can[i];
+                let open = live & !s.lane_pinned[i] & !(c0 & c1);
+                if open == 0 {
+                    continue;
+                }
+                let ni = node.index();
+                let [rc, ra] = s.lane_reach[ni];
+                // A dirty write delivers the stuck value, which changes an
+                // unpinned bit (still at its reset value) only when the two
+                // differ: then the bit can hold both values.
+                let differs = s.lane_stuck[!self.reset_states[i].can1 as usize];
+                let promote = open & s.lane_exit[ni] & ((s.lane_clean[ni] & rc) | (ra & differs));
+                if promote != 0 {
+                    s.lane_can[i] = [c0 | promote, c1 | promote];
+                    changed = true;
+                }
+            }
+            if !changed {
+                converged = true;
+                break;
+            }
+        }
+        if !converged {
+            // The cap cut the last round's promotions off from the masks
+            // and forward sets; bring them up to date for the verdict.
+            self.refresh_lane_masks(s);
+            self.pass_forward(s);
+        }
+        rounds_run
+    }
+
+    /// Rebuilds every mux input's `[clean, any]` usability word from the
+    /// current control-bit lane words, the pinned addresses and the
+    /// corrupted input edges.
+    fn refresh_lane_masks(&self, s: &mut Scratch) {
+        for (slot, info) in self.muxes.iter().enumerate() {
+            s.lane_addr.clear();
+            for e in &info.addr {
+                s.lane_addr.push(can_set_lanes(e, &s.lane_can));
+            }
+            let free = !s.lane_forced[slot];
+            let first = info.first_input as usize;
+            for k in 0..info.inputs as usize {
+                let mut conf = free;
+                for (i, a) in s.lane_addr.iter().enumerate() {
+                    conf &= a[(k >> i) & 1];
+                }
+                let input = first + k;
+                let any = conf | s.lane_forced_on[input];
+                s.lane_conf[input] = [any & !s.lane_corrupt[input], any];
+            }
+        }
+    }
+
+    /// Forward `[clean, any]` reachability from the roots, one sweep in
+    /// topological order (every predecessor is final before its node).
+    fn pass_forward(&self, s: &mut Scratch) {
+        for &v in self.rsn.topo_order() {
+            let vi = v.index();
+            let mut acc = if self.is_root[vi] { [!0; 2] } else { [0; 2] };
+            let (lo, hi) = (self.bwd_off[vi] as usize, self.bwd_off[vi + 1] as usize);
+            for e in &self.bwd_edges[lo..hi] {
+                let r = s.lane_reach[e.other as usize];
+                if e.input == NO_MUX {
+                    acc[0] |= r[0];
+                    acc[1] |= r[1];
+                } else {
+                    let c = s.lane_conf[e.input as usize];
+                    acc[0] |= r[0] & c[0];
+                    acc[1] |= r[1] & c[1];
+                }
+            }
+            acc[0] &= s.lane_clean[vi];
+            s.lane_reach[vi] = acc;
+        }
+    }
+
+    /// Backward reachability from the sinks into `lane_exit`, one sweep in
+    /// reverse topological order: over any usable edges for the fixed
+    /// point, over clean nodes and uncorrupted edges for the verdict.
+    fn pass_backward(&self, s: &mut Scratch, require_clean: bool) {
+        let side = usize::from(!require_clean);
+        for &u in self.rsn.topo_order().iter().rev() {
+            let ui = u.index();
+            let mut acc = if self.is_sink[ui] { !0 } else { 0 };
+            let (lo, hi) = (self.fwd_off[ui] as usize, self.fwd_off[ui + 1] as usize);
+            for e in &self.fwd_edges[lo..hi] {
+                let x = s.lane_exit[e.other as usize];
+                acc |= if e.input == NO_MUX {
+                    x
+                } else {
+                    x & s.lane_conf[e.input as usize][side]
+                };
+            }
+            if require_clean {
+                acc &= s.lane_clean[ui];
+            }
+            s.lane_exit[ui] = acc;
+        }
+    }
+
+    /// Writes the verdicts of the first `lanes` lanes into
+    /// `s.verdicts[..lanes]` from the converged clean reach and clean exit
+    /// words.
+    fn lane_verdicts(&self, s: &mut Scratch, lanes: usize) {
+        if s.verdicts.len() < lanes {
+            s.verdicts.resize(
+                lanes,
+                Accessibility {
+                    accessible: self.all_accessible.clone(),
+                    accessible_segments: 0,
+                    total_segments: self.segments.len(),
+                    accessible_bits: 0,
+                    total_bits: self.total_bits,
+                },
+            );
+        }
+        // Start every lane from the fault-free verdict and take away the
+        // lost segments: far fewer than the accessible ones in a sweep.
+        let verdicts = &mut s.verdicts[..lanes];
+        for acc in verdicts.iter_mut() {
+            acc.accessible.copy_from_slice(&self.all_accessible);
+            acc.accessible_segments = self.segments.len();
+            acc.accessible_bits = self.total_bits;
+        }
+        for &(seg, len) in &self.segments {
+            let si = seg.index();
+            let ok = s.lane_clean[si] & !s.lane_loss[si] & s.lane_reach[si][0] & s.lane_exit[si];
+            let mut lost = live_lanes(lanes) & !ok;
+            while lost != 0 {
+                let acc = &mut verdicts[lost.trailing_zeros() as usize];
+                lost &= lost - 1;
+                acc.accessible[si] = false;
+                acc.accessible_segments -= 1;
+                acc.accessible_bits -= len;
+            }
         }
     }
 
     /// Rebuilds the per-mux configurable-input masks from the current
-    /// control-bit states (called once per fixed-point round — states
-    /// only change *between* traversals).
+    /// control-bit states (called once per cold fixed-point round —
+    /// states only change *between* traversals).
     fn refresh_masks(&self, effect: &FaultEffect, scratch: &mut Scratch) {
-        for slot in 0..self.muxes.len() {
-            if let Some(&forced) = effect.forced_mux.get(&self.muxes[slot].node) {
+        for (slot, info) in self.muxes.iter().enumerate() {
+            if let Some(&forced) = effect.forced_mux.get(&info.node) {
                 scratch.mux_mask[slot] = if forced < 64 { 1u64 << forced } else { 0 };
                 continue;
             }
-            scratch.mux_mask[slot] = self.mask_for(slot, scratch);
-        }
-    }
-
-    /// Derives one mux's configurable-input mask from the current
-    /// control-bit states (per-address-bit attainability, combined per
-    /// input index). Does not apply `forced_mux` pins — callers do.
-    fn mask_for(&self, slot: usize, scratch: &mut Scratch) -> u64 {
-        let info = &self.muxes[slot];
-        scratch.addr_can.clear();
-        for e in &info.addr {
-            scratch.addr_can.push((
-                can_set(e, false, &scratch.states),
-                can_set(e, true, &scratch.states),
-            ));
-        }
-        let mut mask = 0u64;
-        for k in 0..info.inputs.min(64) {
-            let ok =
-                scratch.addr_can.iter().enumerate().all(
-                    |(i, &(c0, c1))| {
-                        if (k >> i) & 1 == 1 {
-                            c1
-                        } else {
-                            c0
-                        }
-                    },
-                );
-            if ok {
-                mask |= 1 << k;
+            scratch.addr_can.clear();
+            for e in &info.addr {
+                scratch.addr_can.push((
+                    can_set(e, false, &scratch.states),
+                    can_set(e, true, &scratch.states),
+                ));
             }
+            let mut mask = 0u64;
+            for k in 0..info.inputs.min(64) {
+                let ok = scratch.addr_can.iter().enumerate().all(|(i, &(c0, c1))| {
+                    if (k >> i) & 1 == 1 {
+                        c1
+                    } else {
+                        c0
+                    }
+                });
+                if ok {
+                    mask |= 1 << k;
+                }
+            }
+            scratch.mux_mask[slot] = mask;
         }
-        mask
     }
 
     /// `true` if input `k` of the mux in `slot` can be selected under the
@@ -625,8 +916,9 @@ impl AccessEngine {
         })
     }
 
-    /// Forward reachability from roots into `out`. `require_clean`
-    /// restricts traversal to clean nodes and uncorrupted edges.
+    /// Forward depth-first reachability from roots into `reach_clean` or
+    /// `reach_any`. `require_clean` restricts traversal to clean nodes and
+    /// uncorrupted edges.
     fn forward(&self, effect: &FaultEffect, scratch: &mut Scratch, require_clean: bool) {
         let mut out = std::mem::take(if require_clean {
             &mut scratch.reach_clean
@@ -634,32 +926,14 @@ impl AccessEngine {
             &mut scratch.reach_any
         });
         out.fill(false);
-        scratch.stack.clear();
+        let mut stack = std::mem::take(&mut scratch.stack);
+        stack.clear();
         for &r in &self.roots {
             if !require_clean || scratch.clean[r.index()] {
                 out[r.index()] = true;
-                scratch.stack.push(r);
+                stack.push(r);
             }
         }
-        self.flood_forward(effect, scratch, require_clean, &mut out);
-        if require_clean {
-            scratch.reach_clean = out;
-        } else {
-            scratch.reach_any = out;
-        }
-    }
-
-    /// Drains `scratch.stack`, growing `out` along forward edges under the
-    /// current masks (the DFS body shared by full and incremental forward
-    /// traversals — seeds must already be marked in `out`).
-    fn flood_forward(
-        &self,
-        effect: &FaultEffect,
-        scratch: &mut Scratch,
-        require_clean: bool,
-        out: &mut [bool],
-    ) {
-        let mut stack = std::mem::take(&mut scratch.stack);
         while let Some(u) = stack.pop() {
             let (lo, hi) = (self.fwd_off[u.index()], self.fwd_off[u.index() + 1]);
             for e in &self.fwd_edges[lo as usize..hi as usize] {
@@ -684,9 +958,14 @@ impl AccessEngine {
             }
         }
         scratch.stack = stack;
+        if require_clean {
+            scratch.reach_clean = out;
+        } else {
+            scratch.reach_any = out;
+        }
     }
 
-    /// Backward reachability from sinks: the any variant fills
+    /// Backward depth-first reachability from sinks: the any variant fills
     /// `scratch.can_exit` (the fixed point's exit set), the clean variant
     /// fills `scratch.exit_clean` (the final verdict's exit set).
     fn backward(&self, effect: &FaultEffect, scratch: &mut Scratch, require_clean: bool) {
@@ -696,31 +975,14 @@ impl AccessEngine {
             &mut scratch.can_exit
         });
         out.fill(false);
-        scratch.stack.clear();
+        let mut stack = std::mem::take(&mut scratch.stack);
+        stack.clear();
         for &s in &self.sinks {
             if !require_clean || scratch.clean[s.index()] {
                 out[s.index()] = true;
-                scratch.stack.push(s);
+                stack.push(s);
             }
         }
-        self.flood_backward(effect, scratch, require_clean, &mut out);
-        if require_clean {
-            scratch.exit_clean = out;
-        } else {
-            scratch.can_exit = out;
-        }
-    }
-
-    /// Drains `scratch.stack`, growing `out` along backward edges (the
-    /// DFS body shared by full and incremental backward traversals).
-    fn flood_backward(
-        &self,
-        effect: &FaultEffect,
-        scratch: &mut Scratch,
-        require_clean: bool,
-        out: &mut [bool],
-    ) {
-        let mut stack = std::mem::take(&mut scratch.stack);
         while let Some(v) = stack.pop() {
             let (lo, hi) = (self.bwd_off[v.index()], self.bwd_off[v.index() + 1]);
             for e in &self.bwd_edges[lo as usize..hi as usize] {
@@ -743,6 +1005,11 @@ impl AccessEngine {
             }
         }
         scratch.stack = stack;
+        if require_clean {
+            scratch.exit_clean = out;
+        } else {
+            scratch.can_exit = out;
+        }
     }
 
     /// Loads the per-fault bootstrap into `scratch` (cleanliness and
@@ -808,285 +1075,9 @@ impl AccessEngine {
         rounds_run
     }
 
-    /// The warm-start fixed point: identical trajectory to
-    /// [`AccessEngine::fixed_point`], but instead of re-deriving every
-    /// mask and re-walking the whole network each round it
-    ///
-    /// 1. memcpys the cached reset masks and (when the effect pins
-    ///    nothing) the cached fault-free round-1 any-traversals,
-    /// 2. keeps a worklist of still-promotable bits, and
-    /// 3. after each promotion round re-derives only the masks of muxes
-    ///    whose address reads a promoted bit (`bit_muxes`), growing the
-    ///    three reachability sets incrementally from the newly enabled
-    ///    edges.
-    ///
-    /// Exactness: the bit states grow monotonically and `can_set` is
-    /// monotone in them, so masks only ever gain bits; a reachability set
-    /// grown by flooding from every newly enabled edge equals the set
-    /// recomputed from scratch under the grown masks. On convergence
-    /// `reach_clean` therefore already equals the final clean forward
-    /// pass, and only the clean backward pass still needs a full walk.
-    ///
-    /// Not valid for engines with > 64-input muxes (edges beyond the mask
-    /// fast path would never appear as mask deltas) — callers dispatch on
-    /// `wide_mux`.
-    fn fixed_point_warm(&self, effect: &FaultEffect, scratch: &mut Scratch) -> u64 {
-        debug_assert!(!self.wide_mux);
-        // Effects that corrupt nothing (pin-only faults) keep every node
-        // clean, so the clean traversals coincide with the any-traversals
-        // bit for bit: skip them and copy instead.
-        let no_corrupt = effect.corrupt_nodes.is_empty() && effect.corrupt_mux_inputs.is_empty();
-        // Round-1 masks: reset masks plus the effect's pins.
-        scratch.mux_mask.copy_from_slice(&self.reset_masks);
-        let pins = !effect.forced_mux.is_empty() || !effect.forced_bits.is_empty();
-        if pins {
-            for &(node, bit) in effect.forced_bits.keys() {
-                if let Ok(i) = self.bits.binary_search(&(node, bit)) {
-                    for &slot in &self.bit_muxes[i] {
-                        scratch.mux_mask[slot as usize] = self.mask_for(slot as usize, scratch);
-                    }
-                }
-            }
-            for (&m, &forced) in &effect.forced_mux {
-                let slot = self.mux_slot[m.index()];
-                if slot != u32::MAX {
-                    scratch.mux_mask[slot as usize] = if forced < 64 { 1u64 << forced } else { 0 };
-                }
-            }
-        }
-
-        // Round-1 traversals. The any-traversals ignore cleanliness and
-        // corrupt edges entirely, so without pins they equal the cached
-        // fault-free baselines bit for bit.
-        if pins {
-            self.forward(effect, scratch, false);
-            self.backward(effect, scratch, false);
-        } else {
-            scratch.reach_any.copy_from_slice(&self.baseline_reach_any);
-            scratch.can_exit.copy_from_slice(&self.baseline_exit_any);
-        }
-        if !no_corrupt {
-            self.forward(effect, scratch, true);
-        }
-
-        scratch.pending.clear();
-        for (i, s) in scratch.states.iter().enumerate() {
-            if !s.pinned && !s.is_both() {
-                scratch.pending.push(i as u32);
-            }
-        }
-        scratch.deps_not_both.copy_from_slice(&self.mux_dep_count);
-
-        let mut rounds_run = 0u64;
-        for _ in 0..=2 * self.bits.len() {
-            rounds_run += 1;
-            // Promotion round over the unresolved bits (same rule as the
-            // cold path; resolved bits leave the worklist). Newly
-            // fully-controllable bits retire from their muxes'
-            // `deps_not_both` counters.
-            scratch.changed.clear();
-            let mut kept = 0usize;
-            for r in 0..scratch.pending.len() {
-                let i = scratch.pending[r] as usize;
-                let cur = scratch.states[i];
-                let ni = self.bits[i].0.index();
-                let mut next = cur;
-                let rc = if no_corrupt {
-                    scratch.reach_any[ni]
-                } else {
-                    scratch.clean[ni] && scratch.reach_clean[ni]
-                };
-                if rc && scratch.can_exit[ni] {
-                    next = next.both();
-                } else if let Some(stuck) = effect.stuck {
-                    if scratch.reach_any[ni] && scratch.can_exit[ni] {
-                        next = next.with_value(stuck);
-                    }
-                }
-                if next != cur {
-                    scratch.states[i] = next;
-                    scratch.changed.push(i as u32);
-                    if next.is_both() {
-                        for &slot in &self.bit_muxes[i] {
-                            scratch.deps_not_both[slot as usize] -= 1;
-                        }
-                    }
-                }
-                if !next.is_both() {
-                    scratch.pending[kept] = i as u32;
-                    kept += 1;
-                }
-            }
-            scratch.pending.truncate(kept);
-            if scratch.changed.is_empty() {
-                break;
-            }
-
-            // Mask deltas: only muxes reading a promoted bit can change,
-            // and monotonicity means they only gain input bits. A mux
-            // whose deps are all fully controllable copies its
-            // precomputed full mask; only muxes straddling the promotion
-            // wave re-evaluate their address expressions.
-            scratch.stamp = scratch.stamp.wrapping_add(1);
-            if scratch.stamp == 0 {
-                // Wrapped: invalidate every stale stamp once per 2^32
-                // rounds.
-                scratch.touch_stamp.fill(u32::MAX);
-                scratch.stamp = 1;
-            }
-            scratch.touched.clear();
-            for r in 0..scratch.changed.len() {
-                let i = scratch.changed[r] as usize;
-                for &slot in &self.bit_muxes[i] {
-                    if scratch.touch_stamp[slot as usize] != scratch.stamp {
-                        scratch.touch_stamp[slot as usize] = scratch.stamp;
-                        scratch.touched.push(slot);
-                    }
-                }
-            }
-            let touched = std::mem::take(&mut scratch.touched);
-            let mut new_edges = std::mem::take(&mut scratch.new_edges);
-            new_edges.clear();
-            for &slot in &touched {
-                let sl = slot as usize;
-                let info = &self.muxes[sl];
-                if !effect.forced_mux.is_empty() && effect.forced_mux.contains_key(&info.node) {
-                    continue;
-                }
-                let old = scratch.mux_mask[sl];
-                let new = if scratch.deps_not_both[sl] == 0 {
-                    self.full_masks[sl]
-                } else {
-                    self.mask_for(sl, scratch)
-                };
-                debug_assert_eq!(old & !new, 0, "masks must grow monotonically");
-                if new != old {
-                    scratch.mux_mask[sl] = new;
-                    let mut gained = new & !old;
-                    while gained != 0 {
-                        let k = gained.trailing_zeros();
-                        gained &= gained - 1;
-                        new_edges.push((info.input_nodes[k as usize], info.node, k));
-                    }
-                }
-            }
-            scratch.touched = touched;
-
-            // Incremental growth of the reachability sets from the newly
-            // enabled edges (the clean set needs no growth pass when
-            // nothing is corrupt — it is read through `reach_any` then).
-            if !new_edges.is_empty() {
-                if !no_corrupt {
-                    self.expand_forward(effect, scratch, true, &new_edges);
-                }
-                self.expand_forward(effect, scratch, false, &new_edges);
-                self.expand_backward(effect, scratch, &new_edges);
-            }
-            scratch.new_edges = new_edges;
-        }
-        if no_corrupt {
-            // Re-sync the clean sets the fast path skipped — the verdict
-            // and callers read them.
-            let (rc, ra) = (&mut scratch.reach_clean, &scratch.reach_any);
-            rc.copy_from_slice(ra);
-        }
-        rounds_run
-    }
-
-    /// Grows a forward reachability set from newly enabled mux edges.
-    fn expand_forward(
-        &self,
-        effect: &FaultEffect,
-        scratch: &mut Scratch,
-        require_clean: bool,
-        edges: &[(NodeId, NodeId, u32)],
-    ) {
-        let mut out = std::mem::take(if require_clean {
-            &mut scratch.reach_clean
-        } else {
-            &mut scratch.reach_any
-        });
-        scratch.stack.clear();
-        for &(src, mux, k) in edges {
-            if !out[src.index()] || out[mux.index()] {
-                continue;
-            }
-            if require_clean
-                && (!scratch.clean[mux.index()]
-                    || effect.corrupt_mux_inputs.contains(&(mux, k as usize)))
-            {
-                continue;
-            }
-            out[mux.index()] = true;
-            scratch.stack.push(mux);
-        }
-        self.flood_forward(effect, scratch, require_clean, &mut out);
-        if require_clean {
-            scratch.reach_clean = out;
-        } else {
-            scratch.reach_any = out;
-        }
-    }
-
-    /// Grows the backward any-exit set from newly enabled mux edges.
-    fn expand_backward(
-        &self,
-        effect: &FaultEffect,
-        scratch: &mut Scratch,
-        edges: &[(NodeId, NodeId, u32)],
-    ) {
-        let mut out = std::mem::take(&mut scratch.can_exit);
-        scratch.stack.clear();
-        for &(src, mux, _) in edges {
-            if out[mux.index()] && !out[src.index()] {
-                out[src.index()] = true;
-                scratch.stack.push(src);
-            }
-        }
-        self.flood_backward(effect, scratch, false, &mut out);
-        scratch.can_exit = out;
-    }
-
-    /// Computes per-segment accessibility under one fault effect, reusing
-    /// the engine's precomputation and the caller's scratch buffers.
-    ///
-    /// Uses the delta-propagation warm start (baseline memcpy + dirty
-    /// frontier); engines with > 64-input muxes fall back to
-    /// [`AccessEngine::accessibility_cold`]. Both paths produce identical
-    /// results — the property tests enforce it.
-    pub fn accessibility(&self, effect: &FaultEffect, scratch: &mut Scratch) -> Accessibility {
-        if self.wide_mux {
-            return self.accessibility_cold(effect, scratch);
-        }
-        self.load_effect(effect, scratch);
-        let rounds_run = self.fixed_point_warm(effect, scratch);
-        // One batched export per call keeps registry lock contention out
-        // of the per-round hot loop (this runs once per fault). The
-        // histogram is the warm-start hit/miss depth distribution: 0
-        // rounds means the baseline absorbed the effect outright.
-        rsn_obs::counter_add("fault.engine_rounds", rounds_run);
-        rsn_obs::hist_record("fault.warm_rounds", rounds_run);
-        rsn_obs::debug!(
-            "warm fixed point converged after {rounds_run} rounds over {} control bits",
-            self.bits.len()
-        );
-        // reach_clean is maintained incrementally and already final; only
-        // the clean exit set needs its (single) full backward walk — and
-        // even that collapses to a copy when the effect corrupts nothing
-        // (all nodes clean ⇒ clean exit ≡ any exit).
-        if effect.corrupt_nodes.is_empty() && effect.corrupt_mux_inputs.is_empty() {
-            let (ec, ce) = (&mut scratch.exit_clean, &scratch.can_exit);
-            ec.copy_from_slice(ce);
-        } else {
-            self.backward(effect, scratch, true);
-        }
-        self.verdict(effect, scratch)
-    }
-
-    /// The cold whole-network evaluation (the pre-warm-start path, kept
-    /// verbatim): full mask refresh + three full traversals per round.
-    /// Reference semantics for the equivalence tests and the fallback for
-    /// wide-mux engines.
+    /// The scalar whole-network evaluation of one effect: full mask
+    /// refresh and three depth-first traversals per round. Reference
+    /// semantics for the lane evaluator's equivalence tests.
     pub fn accessibility_cold(&self, effect: &FaultEffect, scratch: &mut Scratch) -> Accessibility {
         self.load_effect(effect, scratch);
         let rounds_run = self.fixed_point(effect, scratch);
@@ -1102,7 +1093,7 @@ impl AccessEngine {
         self.verdict(effect, scratch)
     }
 
-    /// Final per-segment verdict from the converged scratch sets.
+    /// Final per-segment verdict from the converged cold scratch sets.
     fn verdict(&self, effect: &FaultEffect, scratch: &Scratch) -> Accessibility {
         let n = self.rsn.node_count();
         let mut accessible = vec![false; n];
@@ -1182,17 +1173,6 @@ pub fn accessibility(rsn: &Rsn, effect: &FaultEffect) -> Accessibility {
     let engine = AccessEngine::new(rsn);
     let mut scratch = engine.scratch();
     engine.accessibility(effect, &mut scratch)
-}
-
-/// Diagnostic snapshot of the engine's internal sets for one fault effect
-/// after the fixed point (see [`AccessEngine::internals`]).
-pub fn engine_internals(
-    rsn: &Rsn,
-    effect: &FaultEffect,
-) -> (Vec<bool>, Vec<bool>, Vec<(NodeId, u32)>) {
-    let engine = AccessEngine::new(rsn);
-    let mut scratch = engine.scratch();
-    engine.internals(effect, &mut scratch)
 }
 
 /// The original HashMap-based accessibility computation, kept verbatim as
@@ -1693,7 +1673,8 @@ mod tests {
     #[test]
     fn internals_report_free_bits_in_fault_free_network() {
         let rsn = fig2();
-        let (reach, exit, free) = engine_internals(&rsn, &FaultEffect::benign());
+        let engine = AccessEngine::new(&rsn);
+        let (reach, exit, free) = engine.internals(&FaultEffect::benign(), &mut engine.scratch());
         let a = rsn.find("A").expect("A");
         assert!(reach[a.index()] && exit[a.index()]);
         // A[0] is the only control bit and becomes fully controllable.
@@ -1733,27 +1714,101 @@ mod tests {
         generate(&soc).expect("SIB generation succeeds")
     }
 
+    /// The effect kinds a lane batch mixes.
+    const KINDS: [&str; 7] = [
+        "benign",
+        "corrupt node",
+        "corrupt mux input",
+        "forced bit",
+        "forced mux",
+        "local loss",
+        "double fault",
+    ];
+
+    /// Index into [`KINDS`] of a single-fault effect.
+    fn kind_of(e: &FaultEffect) -> usize {
+        if !e.corrupt_nodes.is_empty() {
+            1
+        } else if !e.corrupt_mux_inputs.is_empty() {
+            2
+        } else if !e.forced_bits.is_empty() {
+            3
+        } else if !e.forced_mux.is_empty() {
+            4
+        } else if !e.local_loss.is_empty() {
+            5
+        } else {
+            0
+        }
+    }
+
+    /// Checks the engine against its reference twins on `rsn`:
+    ///
+    /// * every single-fault effect (both profiles) and a sample of
+    ///   `combine_effects` double faults, one lane at a time, against
+    ///   `accessibility_cold` and the HashMap reference;
+    /// * batches of 1, 63 and 64 effects that cycle through every effect
+    ///   kind the network has, lane for lane against `accessibility_cold`.
     fn assert_engine_matches_reference(rsn: &Rsn, label: &str) {
         let engine = AccessEngine::new(rsn);
         let mut scratch = engine.scratch();
+        let mut cold_scratch = engine.scratch();
+        let mut rng = Rng(0x1a4e_5eed ^ rsn.node_count() as u64);
+        let mut pool: Vec<Vec<FaultEffect>> = vec![Vec::new(); KINDS.len()];
+        let mut labels: Vec<Vec<String>> = vec![Vec::new(); KINDS.len()];
         for profile in [HardeningProfile::unhardened(), HardeningProfile::hardened()] {
             for fault in fault_universe(rsn) {
                 let effect = effect_of(rsn, &fault, profile);
-                let fast = engine.accessibility(&effect, &mut scratch);
-                let cold = engine.accessibility_cold(&effect, &mut scratch);
-                let slow = reference::accessibility(rsn, &effect);
-                assert_eq!(
-                    fast, cold,
-                    "{label}: warm/cold engine mismatch under {fault} \
-                     (select_hardened {})",
+                let kind = kind_of(&effect);
+                labels[kind].push(format!(
+                    "{fault} (select_hardened {})",
                     profile.select_hardened
-                );
+                ));
+                pool[kind].push(effect);
+            }
+        }
+        let singles: Vec<FaultEffect> = pool[1..6].concat();
+        for _ in 0..singles.len().min(48) {
+            let a = &singles[rng.below(singles.len() as u64) as usize];
+            let b = &singles[rng.below(singles.len() as u64) as usize];
+            pool[6].push(crate::multi::combine_effects(a, b));
+            labels[6].push(format!("double fault {a:?} + {b:?}"));
+        }
+
+        for (kind, effects) in pool.iter().enumerate() {
+            for (effect, what) in effects.iter().zip(&labels[kind]) {
+                let lane = engine.accessibility(effect, &mut scratch);
+                let cold = engine.accessibility_cold(effect, &mut cold_scratch);
+                let slow = reference::accessibility(rsn, effect);
+                assert_eq!(lane, cold, "{label}: lane/cold mismatch under {what}");
                 assert_eq!(
-                    fast, slow,
-                    "{label}: engine/reference mismatch under {fault} \
-                     (select_hardened {})",
-                    profile.select_hardened
+                    lane, slow,
+                    "{label}: engine/reference mismatch under {what}"
                 );
+            }
+        }
+
+        let kinds: Vec<usize> = (0..KINDS.len()).filter(|&k| !pool[k].is_empty()).collect();
+        for size in [1, LANES - 1, LANES] {
+            for batch_no in 0..2 * kinds.len() {
+                let picks: Vec<(usize, usize)> = (0..size)
+                    .map(|l| {
+                        let kind = kinds[(batch_no + l) % kinds.len()];
+                        (kind, rng.below(pool[kind].len() as u64) as usize)
+                    })
+                    .collect();
+                let batch: Vec<&FaultEffect> = picks.iter().map(|&(k, i)| &pool[k][i]).collect();
+                let lanes = engine.accessibility_batch(&batch, &mut scratch);
+                assert_eq!(lanes.len(), size);
+                for (l, (&(kind, i), lane)) in picks.iter().zip(lanes).enumerate() {
+                    let cold = engine.accessibility_cold(&pool[kind][i], &mut cold_scratch);
+                    assert_eq!(
+                        *lane, cold,
+                        "{label}: lane {l} of a {size}-effect batch ({}) diverges from \
+                         the cold path under {}",
+                        KINDS[kind], labels[kind][i]
+                    );
+                }
             }
         }
     }
@@ -1781,6 +1836,43 @@ mod tests {
         let rsn = fig2();
         let ft = rsn_synth_like_fixture(&rsn);
         assert_engine_matches_reference(&ft, "fig2 double-branch fixture");
+    }
+
+    #[test]
+    fn engine_matches_reference_on_wide_mux_network() {
+        assert_engine_matches_reference(&wide_mux_fixture(), "70-input mux fixture");
+    }
+
+    /// A 70-input mux addressed by a 7-bit register, followed by a SIB-like
+    /// mux whose address bit lives in the segment on input 66: that bit is
+    /// writable only once the wide mux can select an input beyond 63, so
+    /// the fixed point's promotions depend on the inputs a 64-bit mask
+    /// cannot hold.
+    fn wide_mux_fixture() -> Rsn {
+        use rsn_core::{ControlExpr, RsnBuilder};
+        let mut b = RsnBuilder::new("wide");
+        let ctl = b.add_segment("CTL", 7);
+        b.set_select(ctl, ControlExpr::TRUE);
+        b.connect(b.scan_in(), ctl);
+        let leaves: Vec<NodeId> = (0..70)
+            .map(|i| {
+                let s = b.add_segment(format!("S{i}"), 1 + i % 3);
+                b.set_select(s, ControlExpr::TRUE);
+                b.connect(ctl, s);
+                s
+            })
+            .collect();
+        let wide = b.add_mux(
+            "WIDE",
+            leaves.clone(),
+            (0..7).map(|bit| ControlExpr::reg(ctl, bit)).collect(),
+        );
+        let x = b.add_segment("X", 2);
+        b.set_select(x, ControlExpr::TRUE);
+        b.connect(wide, x);
+        let sib = b.add_mux("SIB", vec![wide, x], vec![ControlExpr::reg(leaves[66], 0)]);
+        b.connect(sib, b.scan_out());
+        b.finish().expect("fixture is structurally valid")
     }
 
     /// A hand-built network with a secondary scan-in/out and a 4-input

@@ -48,7 +48,7 @@ pub(crate) mod sweep;
 pub use collapse::{ClassKind, FaultClass, FaultClasses};
 pub use diagnose::{FaultDictionary, Signature};
 pub use effect::{effect_of, effect_of_indexed, is_control_segment, ControlBitIndex, FaultEffect};
-pub use engine::{accessibility, AccessEngine, Accessibility, Scratch};
+pub use engine::{accessibility, AccessEngine, Accessibility, Scratch, LANES};
 pub use fault::{fault_universe, fault_universe_weighted, Fault, FaultSite, WeightModel};
 pub use metric::{
     analyze, analyze_classes_on_budget, analyze_faults_on, analyze_faults_on_budget,

@@ -9,7 +9,8 @@ use rsn_budget::Budget;
 use rsn_core::Rsn;
 
 use crate::collapse::{ClassKind, FaultClasses};
-use crate::engine::AccessEngine;
+use crate::effect::FaultEffect;
+use crate::engine::{AccessEngine, LANES};
 use crate::fault::{fault_universe_weighted, Fault, WeightModel};
 use crate::sweep::run_stealing;
 
@@ -151,10 +152,12 @@ pub fn analyze_faults_on(
 ///
 /// The universe is first partitioned into equivalence classes
 /// ([`FaultClasses::build`]) and one representative per class is
-/// evaluated by a work-stealing scheduler (workers claim small batches
-/// from a shared cursor — the crate-private `sweep` module). Results are
-/// then
-/// expanded back over class members *serially in original fault order*,
+/// evaluated by a work-stealing scheduler: workers claim chunks of
+/// [`LANES`] classes from a shared cursor (the
+/// crate-private `sweep` module) and evaluate each chunk's effects in one
+/// bit-parallel [`AccessEngine::accessibility_batch`] pass. Results are
+/// then expanded back over class members *serially in original fault
+/// order*,
 /// which makes every aggregate — including the f64 summation order and
 /// the `worst_fault` witness — bit-identical to an uncollapsed
 /// single-threaded sweep, independent of thread count.
@@ -165,11 +168,12 @@ pub fn analyze_faults_on(
 ///   whole (no half-evaluated class); every member counts into
 ///   [`FaultToleranceReport::skipped`] (also counted into
 ///   `budget.exhausted`). Aggregates cover the evaluated classes only.
-/// * **Panic isolation** — a class whose evaluation panics is caught via
-///   `catch_unwind`, all members are quarantined
+/// * **Panic isolation** — a chunk whose batch evaluation panics is
+///   caught via `catch_unwind` and re-run lane by lane from a fresh
+///   [`crate::Scratch`]; only a class whose own evaluation panics is
+///   quarantined, with all its members
 ///   ([`FaultToleranceReport::quarantined`], counter
-///   `fault.quarantined`) and the worker continues with a fresh
-///   [`crate::Scratch`] instead of poisoning the whole run.
+///   `fault.quarantined`), instead of poisoning the whole run.
 pub fn analyze_faults_on_budget(
     engine: &AccessEngine,
     faults: &[Fault],
@@ -230,39 +234,73 @@ pub fn analyze_classes_on_budget(
     let outcomes: Vec<Outcome> = run_stealing(
         classes.len(),
         threads,
+        LANES,
         || engine.scratch(),
-        |scratch, ci| {
-            let class = &classes.classes()[ci];
-            // One budget unit per member: a skipped class accounts for
-            // exactly the faults it represents, never a partial class.
-            if budget.spend(class.members.len() as u64).is_err() {
-                return Outcome::Skipped;
-            }
-            match &class.kind {
-                ClassKind::Benign => Outcome::Evaluated(1.0, 1.0),
-                ClassKind::Poison => {
-                    rsn_obs::trace_instant("quarantine");
-                    Outcome::Quarantined
+        |scratch, chunk, out| {
+            // Charge and triage every class of the chunk first; the
+            // effect classes then share one bit-parallel pass.
+            let mut lanes: Vec<(usize, &FaultEffect)> = Vec::with_capacity(LANES);
+            for ci in chunk {
+                let class = &classes.classes()[ci];
+                // One budget unit per member: a skipped class accounts for
+                // exactly the faults it represents, never a partial class.
+                if budget.spend(class.members.len() as u64).is_err() {
+                    out.push(Outcome::Skipped);
+                    continue;
                 }
-                ClassKind::Effect(effect) => {
-                    let eval_start = Instant::now();
-                    let evaluated = catch_unwind(AssertUnwindSafe(|| {
-                        let acc = engine.accessibility(effect, scratch);
-                        (acc.segment_fraction(), acc.bit_fraction())
-                    }));
-                    rsn_obs::hist_record(
-                        "fault.class_eval_ns",
-                        eval_start.elapsed().as_nanos() as u64,
-                    );
-                    match evaluated {
-                        Ok((seg, bits)) => Outcome::Evaluated(seg, bits),
-                        Err(_) => {
-                            // The fixed point may have been left half-done;
-                            // start the next class from a clean scratch.
-                            *scratch = engine.scratch();
-                            rsn_obs::trace_instant("quarantine");
-                            Outcome::Quarantined
-                        }
+                match &class.kind {
+                    ClassKind::Benign => out.push(Outcome::Evaluated(1.0, 1.0)),
+                    ClassKind::Poison => {
+                        rsn_obs::trace_instant("quarantine");
+                        out.push(Outcome::Quarantined);
+                    }
+                    ClassKind::Effect(effect) => {
+                        lanes.push((out.len(), effect));
+                        // Placeholder, overwritten once the batch is in.
+                        out.push(Outcome::Quarantined);
+                    }
+                }
+            }
+            if lanes.is_empty() {
+                return;
+            }
+            let effects: Vec<&FaultEffect> = lanes.iter().map(|&(_, e)| e).collect();
+            let eval_start = Instant::now();
+            let batch = catch_unwind(AssertUnwindSafe(|| {
+                let accs = engine.accessibility_batch(&effects, scratch);
+                accs.iter()
+                    .map(|acc| Outcome::Evaluated(acc.segment_fraction(), acc.bit_fraction()))
+                    .collect::<Vec<_>>()
+            }));
+            rsn_obs::hist_record(
+                "fault.class_eval_ns",
+                eval_start.elapsed().as_nanos() as u64,
+            );
+            match batch {
+                Ok(evaluated) => {
+                    for (&(at, _), outcome) in lanes.iter().zip(evaluated) {
+                        out[at] = outcome;
+                    }
+                }
+                Err(_) => {
+                    // Some class panicked mid-pass: re-run the chunk lane
+                    // by lane from a clean scratch so only the offending
+                    // class is quarantined.
+                    *scratch = engine.scratch();
+                    for &(at, effect) in &lanes {
+                        let one = catch_unwind(AssertUnwindSafe(|| {
+                            engine.accessibility(effect, scratch)
+                        }));
+                        out[at] = match one {
+                            Ok(acc) => {
+                                Outcome::Evaluated(acc.segment_fraction(), acc.bit_fraction())
+                            }
+                            Err(_) => {
+                                *scratch = engine.scratch();
+                                rsn_obs::trace_instant("quarantine");
+                                Outcome::Quarantined
+                            }
+                        };
                     }
                 }
             }
@@ -330,8 +368,8 @@ pub fn analyze_classes_on_budget(
 /// Multi-threaded version of [`analyze`]: up to
 /// [`rsn_budget::default_threads`] (the `RSN_THREADS` env knob) workers
 /// share one
-/// [`AccessEngine`] (one [`crate::Scratch`] per worker) and steal class
-/// batches from a shared cursor. Reports are bit-identical to the
+/// [`AccessEngine`] (one [`crate::Scratch`] per worker) and steal
+/// 64-class chunks from a shared cursor. Reports are bit-identical to the
 /// sequential version, including the `worst_fault` witness.
 pub fn analyze_parallel(rsn: &Rsn, profile: HardeningProfile) -> FaultToleranceReport {
     analyze_parallel_with(rsn, profile, WeightModel::Ports)
@@ -628,6 +666,42 @@ mod tests {
         assert_eq!(report.total_weight, clean.total_weight);
         assert_eq!(report.worst_segments, clean.worst_segments);
         assert_eq!(report.avg_segments, clean.avg_segments);
+    }
+
+    #[test]
+    fn panic_inside_a_chunk_quarantines_only_its_class() {
+        use rsn_core::NodeId;
+        let rsn = fig2();
+        let faults = crate::fault::fault_universe(&rsn);
+        let engine = AccessEngine::new(&rsn);
+        let profile = HardeningProfile::unhardened();
+        let mut classes = FaultClasses::build(&rsn, &faults, profile);
+        assert!(classes.len() <= LANES, "fig2's classes share one chunk");
+        let effect_classes: Vec<usize> = (0..classes.len())
+            .filter(|&c| matches!(classes.classes()[c].kind, ClassKind::Effect(_)))
+            .collect();
+        assert!(effect_classes.len() > 2);
+        let victim = effect_classes[effect_classes.len() / 2];
+        // A corrupt node beyond the arena panics inside the batch pass,
+        // after effect computation succeeded.
+        let mut poisoned = classes.classes()[victim].kind.clone();
+        if let ClassKind::Effect(effect) = &mut poisoned {
+            effect.corrupt_nodes.push(NodeId(9999));
+        }
+        classes.set_kind(victim, poisoned);
+        let report = with_quiet_panics(|| {
+            analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::unlimited())
+        });
+        assert_eq!(report.quarantined, classes.classes()[victim].members.len());
+        assert_eq!(report.skipped, 0);
+        // Every other class of the chunk was still evaluated: the report
+        // equals one where the victim is quarantined without evaluation.
+        classes.set_kind(victim, ClassKind::Poison);
+        let expected =
+            analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::unlimited());
+        assert_eq!(report, expected);
+        let clean = analyze(&rsn, profile);
+        assert!(report.total_weight < clean.total_weight);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use rsn_core::Rsn;
 
 use crate::effect::{effect_of, FaultEffect};
-use crate::engine::AccessEngine;
+use crate::engine::{AccessEngine, LANES};
 use crate::fault::{fault_universe, Fault};
 use crate::metric::HardeningProfile;
 use crate::sweep::run_stealing;
@@ -87,7 +87,8 @@ pub fn analyze_double_sampled(
 /// precomputation matters more here than anywhere else.
 ///
 /// The sampled pairs are evaluated by the shared work-stealing scheduler
-/// (one [`crate::Scratch`] per worker) and aggregated serially in sample
+/// in chunks of [`LANES`] pairs, one bit-parallel engine pass each (one
+/// [`crate::Scratch`] per worker), and aggregated serially in sample
 /// order, so the report is bit-identical at any worker count.
 pub fn analyze_double_sampled_on(
     engine: &AccessEngine,
@@ -117,15 +118,26 @@ pub fn analyze_double_sampled_on(
     let fracs: Vec<f64> = run_stealing(
         sampled.len(),
         threads,
+        LANES,
         || engine.scratch(),
-        |scratch, k| {
-            let (i, j) = sampled[k];
-            let combined = combine_effects(&effects[i], &effects[j]);
-            if combined.is_benign() {
-                1.0
-            } else {
-                engine.accessibility(&combined, scratch).segment_fraction()
-            }
+        |scratch, chunk, out| {
+            let combined: Vec<FaultEffect> = chunk
+                .map(|k| {
+                    let (i, j) = sampled[k];
+                    combine_effects(&effects[i], &effects[j])
+                })
+                .collect();
+            let faulty: Vec<&FaultEffect> = combined.iter().filter(|e| !e.is_benign()).collect();
+            let mut accs = engine.accessibility_batch(&faulty, scratch).iter();
+            out.extend(combined.iter().map(|e| {
+                if e.is_benign() {
+                    1.0
+                } else {
+                    accs.next()
+                        .expect("one verdict per faulty pair")
+                        .segment_fraction()
+                }
+            }));
         },
     );
 

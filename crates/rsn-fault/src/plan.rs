@@ -21,7 +21,7 @@ use rsn_core::{Config, ControlExpr, NodeId, NodeKind, Rsn};
 
 use crate::effect::FaultEffect;
 use crate::engine::AccessEngine;
-use crate::sweep::run_stealing;
+use crate::sweep::{run_stealing, BATCH};
 
 /// A concrete faulty-access plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -402,8 +402,11 @@ pub fn plan_targets_on(
     run_stealing(
         targets.len(),
         threads,
+        BATCH,
         || (),
-        |_, i| plan_faulty_access_on(engine, effect, targets[i]),
+        |_, range, out| {
+            out.extend(range.map(|i| plan_faulty_access_on(engine, effect, targets[i])))
+        },
     )
 }
 

@@ -1,33 +1,37 @@
 //! Work-stealing sweep scheduler shared by every parallel fault-sweep
 //! entry point (`metric`, `multi`, `diagnose`, `plan`).
 //!
-//! Per-item costs in a fault sweep are heavily skewed: a fault near the
-//! scan-in port converges in one fixed-point round while a deep control
-//! fault cascades for many. A static one-chunk-per-worker split strands
-//! every other worker behind the unluckiest chunk. Here workers instead
-//! claim small batches from a shared atomic cursor, so load balances at
-//! batch granularity no matter how skewed the items are.
+//! Per-item costs in a fault sweep are skewed: a chunk of faults near the
+//! scan-in port converges in one fixed-point round while a chunk of deep
+//! control faults cascades for many. A static one-range-per-worker split
+//! strands every other worker behind the unluckiest range. Here workers
+//! instead claim one chunk at a time from a shared atomic cursor, so load
+//! balances at chunk granularity no matter how skewed the items are.
+//! Accessibility sweeps claim [`crate::LANES`]-item chunks, one
+//! bit-parallel engine pass each.
 //!
-//! Telemetry: `fault.steal_batches` counts claimed batches and
+//! Telemetry: `fault.steal_batches` counts claimed chunks and
 //! `fault.worker_utilization` reports the fraction of worker wall-time
 //! spent evaluating (1.0 = perfectly balanced).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Batch size workers claim from the shared cursor. Small enough that a
+/// Chunk size of item-at-a-time sweeps (planning). Small enough that a
 /// skewed tail cannot strand more than `BATCH - 1` cheap items behind one
 /// expensive one, large enough to amortize the atomic claim.
 pub(crate) const BATCH: usize = 16;
 
-/// Evaluates `eval(state, i)` for every `i in 0..len` across up to
-/// `threads` workers and returns the results in index order.
+/// Evaluates every index of `0..len` across up to `threads` workers and
+/// returns the results in index order.
 ///
 /// Each worker owns one `state` (built by `make_state` on the worker
-/// thread) and repeatedly claims [`BATCH`]-sized index ranges from a
-/// shared atomic cursor until the range is exhausted. With one worker (or
-/// few items) everything runs inline on the calling thread through the
-/// same claiming loop, so counters behave identically.
+/// thread) and repeatedly claims the next `chunk` indices from a shared
+/// atomic cursor until the range is exhausted; `eval(state, range, out)`
+/// must push exactly one result per index of `range`, in order. With one
+/// worker (or one chunk) everything runs inline on the calling thread
+/// through the same claiming loop, so counters behave identically.
 ///
 /// The scheduler itself never drops or duplicates an index: every index
 /// is claimed by exactly one worker. Skip/quarantine policies belong to
@@ -35,13 +39,15 @@ pub(crate) const BATCH: usize = 16;
 pub(crate) fn run_stealing<R, S>(
     len: usize,
     threads: usize,
+    chunk: usize,
     make_state: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, usize) -> R + Sync,
+    eval: impl Fn(&mut S, Range<usize>, &mut Vec<R>) + Sync,
 ) -> Vec<R>
 where
     R: Send,
     S: Send,
 {
+    assert!(chunk > 0, "chunks must hold at least one index");
     let start = Instant::now();
     let cursor = AtomicUsize::new(0);
     let batches = AtomicUsize::new(0);
@@ -50,21 +56,22 @@ where
         // own timeline row (`tid` = worker in the exported trace).
         let _trace = rsn_obs::TraceGuard::new("sweep_worker");
         let mut state = make_state();
+        let mut results = Vec::with_capacity(chunk);
         loop {
-            let lo = cursor.fetch_add(BATCH, Ordering::Relaxed);
+            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
             if lo >= len {
                 break;
             }
             rsn_obs::trace_instant("claim_batch");
             batches.fetch_add(1, Ordering::Relaxed);
-            let hi = (lo + BATCH).min(len);
-            for i in lo..hi {
-                out.push((i, eval(&mut state, i)));
-            }
+            let hi = (lo + chunk).min(len);
+            eval(&mut state, lo..hi, &mut results);
+            assert_eq!(results.len(), hi - lo, "one result per claimed index");
+            out.extend((lo..hi).zip(results.drain(..)));
         }
     };
 
-    let threads = threads.clamp(1, len.div_ceil(BATCH).max(1));
+    let threads = threads.clamp(1, len.div_ceil(chunk).max(1));
     let mut collected: Vec<(usize, R)> = Vec::with_capacity(len);
     let mut busy = 0.0f64;
     if threads == 1 {
@@ -128,8 +135,16 @@ mod tests {
     fn every_index_evaluated_exactly_once_in_order() {
         for threads in [1, 2, 4] {
             for len in [0, 1, BATCH - 1, BATCH, 3 * BATCH + 5] {
-                let out = run_stealing(len, threads, || (), |_, i| i * 2);
-                assert_eq!(out, (0..len).map(|i| i * 2).collect::<Vec<_>>());
+                for chunk in [1, BATCH, 64] {
+                    let out = run_stealing(
+                        len,
+                        threads,
+                        chunk,
+                        || (),
+                        |_, r, out| out.extend(r.map(|i| i * 2)),
+                    );
+                    assert_eq!(out, (0..len).map(|i| i * 2).collect::<Vec<_>>());
+                }
             }
         }
     }
@@ -140,10 +155,13 @@ mod tests {
         let out = run_stealing(
             40,
             1,
+            BATCH,
             || 0usize,
-            |seen, _| {
-                *seen += 1;
-                *seen
+            |seen, r, out| {
+                for _ in r {
+                    *seen += 1;
+                    out.push(*seen);
+                }
             },
         );
         assert_eq!(out.last(), Some(&40));

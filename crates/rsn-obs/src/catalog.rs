@@ -76,6 +76,10 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     (Gauge, "bmc.miter.clauses"),
     (Histogram, "bmc.miter.query_ns"),
     // rsn-fault: access engine, collapsing, work-stealing sweep.
+    // `fault.steal_batches`, `fault.class_eval_ns` and `fault.warm_rounds`
+    // count per claimed chunk of up to 64 classes (one bit-parallel pass
+    // each), not per class; `fault.engine_rounds` sums the rounds of every
+    // pass.
     (Counter, "fault.engine_rounds"),
     (Counter, "fault.faults_simulated"),
     (Counter, "fault.classes_evaluated"),

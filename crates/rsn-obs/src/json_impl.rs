@@ -334,12 +334,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| JsonError::syntax(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of unescaped bytes up to the next
+                // quote or backslash. Both are ASCII, so the run ends on a
+                // char boundary; validating each run once keeps the parse
+                // linear in the input.
+                let start = *pos;
+                *pos = b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| start + i);
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| JsonError::syntax(start, "invalid utf-8"))?;
+                out.push_str(run);
             }
         }
     }

@@ -83,8 +83,14 @@ pub(crate) fn reset_trips() {
 mod tests {
     use super::*;
 
+    /// Both tests reset and fill the one process-wide table; run them one
+    /// at a time, or one can fill the table between the other's reset and
+    /// its recording.
+    static TABLE: Mutex<()> = Mutex::new(());
+
     #[test]
     fn records_and_caps() {
+        let _table = TABLE.lock().unwrap_or_else(|e| e.into_inner());
         reset_trips();
         for _ in 0..(MAX_BUDGET_TRIPS + 5) {
             record_budget_trip("sat", "deadline");
@@ -99,6 +105,7 @@ mod tests {
 
     #[test]
     fn captures_live_span_path() {
+        let _table = TABLE.lock().unwrap_or_else(|e| e.into_inner());
         reset_trips();
         {
             let _outer = crate::Span::enter("trip_outer");

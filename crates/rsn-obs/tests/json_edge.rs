@@ -91,3 +91,27 @@ fn malformed_documents_are_rejected() {
         assert!(json::parse(bad).is_err(), "{bad:?} should not parse");
     }
 }
+
+#[test]
+fn megabyte_string_parses_in_linear_time() {
+    // Parsing must stay linear in the string length: a quadratic parse of
+    // this 1 MB value takes tens of seconds and a linear one milliseconds,
+    // so 1 s leaves a debug build on a slow host plenty of room.
+    let long: String = "abc µs \\\" 🧪 "
+        .repeat(1 << 17)
+        .chars()
+        .take(1 << 20)
+        .collect();
+    let mut doc = Json::obj();
+    doc.set("s", Json::Str(long.clone()));
+    let text = doc.to_string();
+    assert!(text.len() >= 1 << 20);
+    let start = std::time::Instant::now();
+    let parsed = json::parse(&text).expect("parses");
+    let elapsed = start.elapsed();
+    assert_eq!(parsed.get("s").and_then(Json::as_str), Some(long.as_str()));
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "parsing a 1 MB string took {elapsed:?}"
+    );
+}

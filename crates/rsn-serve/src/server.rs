@@ -515,6 +515,11 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     };
 
     lock(&shared.watched).retain(|w| w.id != watch_id);
+    // The monitor's clone shares this stream's file description, so its
+    // `O_NONBLOCK` outlives the clone: without this, a response larger
+    // than the socket buffers stops mid-body with `WouldBlock` whenever
+    // the client pauses reading. The write timeout bounds the wait.
+    let _ = stream.set_nonblocking(false);
 
     // Circuit-breaker bookkeeping for the analyzed network. Breaker
     // fast-fails (`retry_after` set) are not outcomes of an admitted
@@ -574,4 +579,81 @@ fn respond_json(stream: &mut TcpStream, response: &ApiResponse) -> std::io::Resu
         &extra,
         response.body.to_string_pretty(2).as_bytes(),
     )
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::os::fd::AsRawFd;
+
+    const SOL_SOCKET: i32 = 1;
+    const SO_SNDBUF: i32 = 7;
+    const SO_RCVBUF: i32 = 8;
+
+    /// Shrinks one of a socket's buffers (`SO_SNDBUF`/`SO_RCVBUF`).
+    fn shrink_buffer(fd: &impl AsRawFd, option: i32, bytes: i32) {
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        }
+        // SAFETY: the fd is a live socket owned by the caller, and `value`
+        // points at an i32 of the length passed.
+        let rc = unsafe { setsockopt(fd.as_raw_fd(), SOL_SOCKET, option, &bytes, 4) };
+        assert_eq!(rc, 0, "setsockopt({option}) failed");
+    }
+
+    /// A client that stops reading right after the first byte of an
+    /// answer larger than both peers' socket buffers (a slow link, a busy
+    /// consumer) must still receive every byte once it resumes: the
+    /// hang-up monitor's non-blocking mode must not leak into the
+    /// response write.
+    #[test]
+    fn slow_reader_receives_the_whole_answer() {
+        let server = Server::bind(ServerOptions {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerOptions::default()
+        })
+        .expect("bind");
+        // The client owns the listening end, so its small receive buffer
+        // is in place before the handshake sizes the TCP window.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind client side");
+        shrink_buffer(&listener, SO_RCVBUF, 4096);
+        let daemon_end = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        shrink_buffer(&daemon_end, SO_SNDBUF, 4096);
+        let (mut client, _) = listener.accept().expect("accept");
+        // The 404 answer echoes the 48 KiB path: far more than the two
+        // shrunken buffers hold.
+        let path = format!("/{}", "x".repeat(48 * 1024));
+        let reader = std::thread::spawn(move || {
+            client
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let head = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
+            client.write_all(head.as_bytes()).unwrap();
+            let mut raw = vec![0u8; 1];
+            client
+                .read_exact(&mut raw)
+                .expect("first byte of the answer");
+            std::thread::sleep(Duration::from_millis(300));
+            client.read_to_end(&mut raw).expect("rest of the answer");
+            raw
+        });
+        serve_connection(&server.shared, daemon_end);
+        let raw = reader.join().expect("client thread");
+
+        let split = raw
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("complete response head");
+        let head = String::from_utf8_lossy(&raw[..split]).to_string();
+        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("Content-Length header")
+            .parse()
+            .expect("numeric Content-Length");
+        assert!(length > 48 * 1024, "the answer echoes the path");
+        assert_eq!(raw.len() - split - 4, length, "answer truncated mid-body");
+    }
 }

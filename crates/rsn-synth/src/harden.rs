@@ -15,7 +15,9 @@
 //! [`AccessEngine`] — the precomputation is paid once for the whole sweep.
 
 use rsn_core::{NodeId, Rsn, RsnBuilder};
-use rsn_fault::{effect_of, AccessEngine, Fault, FaultSite, HardeningProfile};
+use rsn_fault::{
+    effect_of, AccessEngine, Accessibility, Fault, FaultEffect, FaultSite, HardeningProfile, LANES,
+};
 
 /// Ranked outcome of a hardening-budget selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,31 +68,50 @@ pub fn select_mux_hardening(
 ) -> MuxHardeningPlan {
     let _span = rsn_obs::Span::enter("select_mux_hardening");
     let engine = AccessEngine::new(rsn);
+    let candidates: Vec<NodeId> = rsn
+        .muxes()
+        .filter(|&m| !rsn.node(m).as_mux().expect("muxes() yields muxes").hardened)
+        .collect();
+    // Both address polarities of every candidate; the faulty effects are
+    // evaluated `LANES` at a time, and benign ones score 1.0 without a
+    // lane.
+    let effects: Vec<FaultEffect> = candidates
+        .iter()
+        .flat_map(|&m| {
+            [false, true].map(|value| {
+                let fault = Fault {
+                    site: FaultSite::MuxAddress(m),
+                    value,
+                    weight: 1,
+                };
+                effect_of(rsn, &fault, profile)
+            })
+        })
+        .collect();
+    let faulty: Vec<&FaultEffect> = effects.iter().filter(|e| !e.is_benign()).collect();
     let mut scratch = engine.scratch();
-    let mut ranked: Vec<(NodeId, f64)> = Vec::new();
-    for m in rsn.muxes() {
-        if rsn.node(m).as_mux().expect("muxes() yields muxes").hardened {
-            continue;
-        }
-        let mut gain = 0.0;
-        for value in [false, true] {
-            let fault = Fault {
-                site: FaultSite::MuxAddress(m),
-                value,
-                weight: 1,
-            };
-            let effect = effect_of(rsn, &fault, profile);
-            let frac = if effect.is_benign() {
-                1.0
-            } else {
-                engine
-                    .accessibility(&effect, &mut scratch)
-                    .segment_fraction()
-            };
-            gain += 1.0 - frac;
-        }
-        ranked.push((m, gain));
+    let mut faulty_fracs = Vec::with_capacity(faulty.len());
+    for chunk in faulty.chunks(LANES) {
+        let accs = engine.accessibility_batch(chunk, &mut scratch);
+        faulty_fracs.extend(accs.iter().map(Accessibility::segment_fraction));
     }
+    let mut faulty_fracs = faulty_fracs.into_iter();
+    let mut ranked: Vec<(NodeId, f64)> = candidates
+        .iter()
+        .zip(effects.chunks(2))
+        .map(|(&m, pair)| {
+            let mut gain = 0.0;
+            for effect in pair {
+                let frac = if effect.is_benign() {
+                    1.0
+                } else {
+                    faulty_fracs.next().expect("one verdict per faulty effect")
+                };
+                gain += 1.0 - frac;
+            }
+            (m, gain)
+        })
+        .collect();
     ranked.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
