@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rsn_export::{to_icl, to_verilog};
-use rsn_fault::{analyze_parallel, HardeningProfile};
+use rsn_fault::{analyze, HardeningProfile};
 use rsn_itc02::{by_name, parse_soc};
 use rsn_sib::generate;
 use rsn_synth::{synthesize, SolverChoice, SynthesisOptions};
@@ -178,7 +178,7 @@ fn main() -> ExitCode {
             } else {
                 HardeningProfile::unhardened()
             };
-            let m = analyze_parallel(network, profile);
+            let m = analyze(network, profile);
             println!("  metric: {m}");
         }
     }

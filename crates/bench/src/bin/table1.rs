@@ -1,10 +1,10 @@
 //! Regenerates Table I of the paper (and the auxiliary experiment data).
 //!
 //! ```text
-//! table1 [--bench NAME]... [--section char|sib|ft|area|all] [--timing]
-//!        [--paper] [--verify] [--ablation] [--sweep-alpha] [--json PATH]
-//!        [--trace PATH] [--prom PATH] [--bench-access PATH]
-//!        [--bench-sat PATH] [--budget SECS] [--resume] [--no-collapse]
+//! table1 [--bench NAME]... [--timing] [--paper] [--verify]
+//!        [--weights ports|cells] [--ablation] [--sweep-alpha] [--latency]
+//!        [--double] [--json PATH] [--trace PATH] [--prom PATH]
+//!        [--bench-sat PATH] [--budget SECS] [--resume]
 //! ```
 //!
 //! With `--trace PATH`, event tracing is switched on for the whole run and
@@ -17,11 +17,6 @@
 //! With `--prom PATH`, the final metrics snapshot is additionally written
 //! in the Prometheus text exposition format (one row's worth when `--json`
 //! resets between rows, the whole run otherwise).
-//!
-//! `--no-collapse` disables ATPG-style fault collapsing in every metric
-//! sweep (each fault evaluated individually) — an escape hatch for
-//! cross-checking the collapsed fast path; aggregates are identical
-//! either way.
 //!
 //! With `--budget SECS`, every row runs under a fresh wall-clock budget of
 //! SECS seconds shared by all of its stages. Budget exhaustion never
@@ -48,16 +43,6 @@
 //! `RunReport` schema) is written to PATH. Small benchmarks additionally
 //! run a BMC spot check so SAT solver statistics appear in the report.
 //!
-//! With `--bench-access PATH`, only the accessibility-engine throughput
-//! measurement runs (fault-universe size, class count, seconds and
-//! faults/sec for the original and fault-tolerant RSN of each selected
-//! benchmark) and a `bench-access-v1` JSON document (`schema_version` 2:
-//! per-sweep `classes`/`collapse_ratio` plus the host thread count) is
-//! written to PATH next to the recorded pre-refactor seed baseline. When
-//! PATH already holds a previous document, the per-sweep faults/sec delta
-//! against it is printed before it is overwritten. Defaults to
-//! `q12710` + `p93791` when no `--bench` is given.
-//!
 //! With `--bench-sat PATH`, only the SAT-engine comparison runs: each
 //! selected benchmark's verify run and fault-distinguishability miters
 //! are solved once serially and once through the portfolio
@@ -70,10 +55,7 @@ use std::collections::{HashMap, HashSet};
 use std::env;
 use std::time::{Duration, Instant};
 
-use bench::{
-    bmc_spot_check, bmc_spot_check_under, evaluate, evaluate_budgeted, evaluate_weighted,
-    evaluate_with, format_row, AccessSweep, Row, BENCHMARKS,
-};
+use bench::{bmc_spot_check_under, evaluate_budgeted, format_row, Row, BENCHMARKS};
 use rsn_budget::Budget;
 use rsn_fault::WeightModel;
 use rsn_itc02::by_name;
@@ -231,128 +213,6 @@ fn run_double(names: &[&str]) {
     }
 }
 
-/// Pre-refactor throughput, measured at the seed commit on the reference
-/// machine (1 hardware thread): `(name, network, faults, faults/sec)`.
-/// Kept in `BENCH_access.json` so the perf trajectory of the
-/// accessibility engine stays visible across PRs. Only sweeps that were
-/// actually timed at the seed are recorded (q12710's FT sweep was not).
-const SEED_BASELINE: [(&str, &str, usize, f64); 3] = [
-    ("q12710", "sib", 480, 55_840.0),
-    ("p93791", "sib", 12_212, 2_560.0),
-    ("p93791", "ft", 26_608, 310.0),
-];
-
-fn sweep_json(s: &AccessSweep) -> Json {
-    let mut o = Json::obj();
-    o.set("faults", Json::Num(s.faults as f64));
-    o.set("classes", Json::Num(s.classes as f64));
-    o.set("collapse_ratio", Json::Num(s.collapse_ratio));
-    o.set("seconds", Json::Num(s.seconds));
-    o.set("faults_per_sec", Json::Num(s.faults_per_sec));
-    o.set("avg_segments", Json::Num(s.avg_segments));
-    o
-}
-
-/// Per-sweep `faults_per_sec` values of a previously written
-/// `--bench-access` document, keyed `(name, "sib"|"ft")`.
-fn previous_throughput(path: &str) -> HashMap<(String, String), f64> {
-    let mut out = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return out;
-    };
-    let Ok(doc) = rsn_obs::json::parse(&text) else {
-        return out;
-    };
-    for row in doc.get("rows").and_then(Json::as_arr).unwrap_or(&[]) {
-        let Some(name) = row.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        for network in ["sib", "ft"] {
-            if let Some(fps) = row
-                .get(network)
-                .and_then(|s| s.get("faults_per_sec"))
-                .and_then(Json::as_f64)
-            {
-                out.insert((name.to_string(), network.to_string()), fps);
-            }
-        }
-    }
-    out
-}
-
-fn run_bench_access(names: &[&str], path: &str, collapse: bool) {
-    let previous = previous_throughput(path);
-    println!("Accessibility-engine throughput (fault universe, full sweep)");
-    println!(
-        "{:<8} {:>10} {:>7} {:>9} {:>12} | {:>10} {:>7} {:>9} {:>12}",
-        "SoC", "sib flts", "cls", "sib s", "sib flt/s", "ft flts", "cls", "ft s", "ft flt/s"
-    );
-    let mut rows: Vec<Json> = Vec::new();
-    for name in names {
-        let b = bench::bench_access_with(name, collapse);
-        println!(
-            "{name:<8} {:>10} {:>7} {:>9.3} {:>12.0} | {:>10} {:>7} {:>9.3} {:>12.0}",
-            b.sib.faults,
-            b.sib.classes,
-            b.sib.seconds,
-            b.sib.faults_per_sec,
-            b.ft.faults,
-            b.ft.classes,
-            b.ft.seconds,
-            b.ft.faults_per_sec
-        );
-        for (network, sweep) in [("sib", &b.sib), ("ft", &b.ft)] {
-            if let Some(&old) = previous.get(&(name.to_string(), network.to_string())) {
-                if old > 0.0 {
-                    println!(
-                        "         {network}: {old:.0} -> {:.0} faults/s ({:+.1}%)",
-                        sweep.faults_per_sec,
-                        100.0 * (sweep.faults_per_sec - old) / old
-                    );
-                }
-            }
-        }
-        let mut row = Json::obj();
-        row.set("name", Json::Str(b.name.clone()));
-        row.set("sib", sweep_json(&b.sib));
-        row.set("ft", sweep_json(&b.ft));
-        rows.push(row);
-    }
-    let mut seed = Json::obj();
-    for (name, network, faults, fps) in SEED_BASELINE {
-        let mut sweep = Json::obj();
-        sweep.set("faults", Json::Num(faults as f64));
-        sweep.set("faults_per_sec", Json::Num(fps));
-        if let Some(entry) = seed.get(name) {
-            let mut entry = entry.clone();
-            entry.set(network, sweep);
-            seed.set(name, entry);
-        } else {
-            let mut entry = Json::obj();
-            entry.set(network, sweep);
-            seed.set(name, entry);
-        }
-    }
-    let mut doc = Json::obj();
-    doc.set("schema", Json::Str("bench-access-v1".to_string()));
-    // Bumped when a field is added or its meaning changes; v2 added
-    // classes/collapse_ratio per sweep plus host_threads.
-    doc.set("schema_version", Json::Num(2.0));
-    doc.set(
-        "host_threads",
-        Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
-    );
-    doc.set("collapse", Json::Bool(collapse));
-    doc.set(
-        "generated_by",
-        Json::Str("table1 --bench-access".to_string()),
-    );
-    doc.set("seed_baseline", seed);
-    doc.set("rows", Json::Arr(rows));
-    std::fs::write(path, doc.to_string_pretty(2)).expect("write bench-access json");
-    println!("wrote access throughput to {path}");
-}
-
 fn run_bench_sat(names: &[&str], path: &str) {
     // The acceptance bar is "4+ threads": honor RSN_THREADS when it asks
     // for more, never measure the portfolio below four workers.
@@ -502,7 +362,7 @@ fn run_alpha_sweep(names: &[&str]) {
             let mut opts = SynthesisOptions::new();
             opts.augment.alpha = alpha;
             opts.solver = SolverChoice::Greedy;
-            let row = evaluate_with(name, &opts);
+            let row = evaluate_budgeted(name, &opts, WeightModel::Ports, &Budget::unlimited());
             println!(
                 "{name:<8} {alpha:>6.2} {:>8} {:>10.2} {:>8.3}",
                 row.synthesis.report.added_edges,
@@ -555,11 +415,9 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
-    let mut bench_access_path: Option<String> = None;
     let mut bench_sat_path: Option<String> = None;
     let mut budget_secs: Option<f64> = None;
     let mut resume = false;
-    let mut collapse = true;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -600,10 +458,6 @@ fn main() {
                 i += 1;
                 prom_path = Some(args.get(i).expect("--prom needs a path").clone());
             }
-            "--bench-access" => {
-                i += 1;
-                bench_access_path = Some(args.get(i).expect("--bench-access needs a path").clone());
-            }
             "--bench-sat" => {
                 i += 1;
                 bench_sat_path = Some(args.get(i).expect("--bench-sat needs a path").clone());
@@ -619,10 +473,6 @@ fn main() {
                 budget_secs = Some(secs);
             }
             "--resume" => resume = true,
-            "--no-collapse" => collapse = false,
-            "--section" => {
-                i += 1; // sections are printed together; flag kept for CLI
-            }
             other => panic!("unknown flag {other}"),
         }
         i += 1;
@@ -637,18 +487,6 @@ fn main() {
             names.clone()
         };
         run_bench_sat(&sel, &path);
-        if let Some(tpath) = &trace_path {
-            write_trace(tpath, &rsn_obs::trace_drain());
-        }
-        return;
-    }
-    if let Some(path) = bench_access_path {
-        let sel = if names.is_empty() {
-            vec!["q12710", "p93791"]
-        } else {
-            names
-        };
-        run_bench_access(&sel, &path, collapse);
         if let Some(tpath) = &trace_path {
             write_trace(tpath, &rsn_obs::trace_drain());
         }
@@ -702,6 +540,13 @@ fn main() {
         }
     }
 
+    // Post-synthesis static verification gates every row under
+    // `--verify`: error-severity diagnostics abort inside `synthesize`.
+    let opts = if verify {
+        SynthesisOptions::verified()
+    } else {
+        SynthesisOptions::new()
+    };
     header();
     let t0 = Instant::now();
     let mut reports: Vec<Json> = Vec::new();
@@ -728,32 +573,10 @@ fn main() {
         }
         // A fresh budget per row: one slow benchmark cannot starve the
         // rows after it.
-        let row_budget = budget_secs
-            .map(|secs| Budget::unlimited().with_deadline(Duration::from_secs_f64(secs)));
-        let row = if !collapse {
-            let opts = if verify {
-                rsn_synth::SynthesisOptions::verified()
-            } else {
-                rsn_synth::SynthesisOptions::new()
-            };
-            let b = row_budget.clone().unwrap_or_else(Budget::unlimited);
-            bench::evaluate_budgeted_with_collapse(name, &opts, weights, &b, false)
-        } else if let Some(b) = &row_budget {
-            let opts = if verify {
-                rsn_synth::SynthesisOptions::verified()
-            } else {
-                rsn_synth::SynthesisOptions::new()
-            };
-            evaluate_budgeted(name, &opts, weights, b)
-        } else if verify {
-            // Post-synthesis static verification gates every row:
-            // error-severity diagnostics abort inside `synthesize`.
-            evaluate_weighted(name, &rsn_synth::SynthesisOptions::verified(), weights)
-        } else if weights == WeightModel::Ports {
-            evaluate(name)
-        } else {
-            evaluate_weighted(name, &rsn_synth::SynthesisOptions::new(), weights)
-        };
+        let row_budget = budget_secs.map_or_else(Budget::unlimited, |secs| {
+            Budget::unlimited().with_deadline(Duration::from_secs_f64(secs))
+        });
+        let row = evaluate_budgeted(name, &opts, weights, &row_budget);
         println!("{}", format_row(&row));
         if row.timed_out {
             println!(
@@ -787,10 +610,7 @@ fn main() {
             let soc = by_name(name).expect("embedded");
             let rsn = generate(&soc).expect("generate");
             let steps = row.levels + 2;
-            let (checked, mismatches) = match &row_budget {
-                Some(b) => bmc_spot_check_under(&rsn, steps, 150, 8, b),
-                None => bmc_spot_check(&rsn, steps, 150, 8),
-            };
+            let (checked, mismatches) = bmc_spot_check_under(&rsn, steps, 150, 8, &row_budget);
             if mismatches > 0 {
                 eprintln!("warning: {name}: {mismatches}/{checked} BMC spot checks disagree");
             }
@@ -802,10 +622,7 @@ fn main() {
             let df = Dataflow::extract(&rsn);
             if df.len() <= 60 {
                 let _s = rsn_obs::Span::enter("ilp_reference");
-                let _ = match &row_budget {
-                    Some(b) => augment_ilp_under(&df, &AugmentOptions::default(), b),
-                    None => augment_ilp(&df, &AugmentOptions::default()),
-                };
+                let _ = augment_ilp_under(&df, &AugmentOptions::default(), &row_budget);
             } else if df.len() <= 150 {
                 let _s = rsn_obs::Span::enter("ilp_reference");
                 let capped = Budget::unlimited().with_work_limit(500);

@@ -11,14 +11,11 @@ use std::time::{Duration, Instant};
 
 use rsn_budget::Budget;
 use rsn_core::Rsn;
-use rsn_fault::{
-    analyze_faults_on, analyze_parallel_budgeted, fault_universe_weighted, AccessEngine,
-    FaultToleranceReport, HardeningProfile, WeightModel,
-};
+use rsn_fault::{analyze_parallel_budgeted, FaultToleranceReport, HardeningProfile, WeightModel};
 use rsn_itc02::{by_name, TableTargets};
 use rsn_sib::generate;
 use rsn_synth::area::{costs, AreaModel, Overhead};
-use rsn_synth::{synthesize, synthesize_under, SynthesisOptions, SynthesisResult};
+use rsn_synth::{synthesize_under, SynthesisOptions, SynthesisResult};
 
 /// One evaluated row of Table I: characteristics, accessibility of the
 /// original and fault-tolerant RSN, and overhead ratios.
@@ -58,38 +55,30 @@ pub struct Row {
     pub degraded: bool,
 }
 
-/// Runs the full pipeline for one embedded benchmark.
+/// Runs the full pipeline for one embedded benchmark with default
+/// synthesis options, port weights and no budget.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not one of the embedded benchmarks or any pipeline
 /// stage fails (the embedded suite is expected to succeed end to end).
 pub fn evaluate(name: &str) -> Row {
-    evaluate_with(name, &SynthesisOptions::new())
+    evaluate_budgeted(
+        name,
+        &SynthesisOptions::new(),
+        WeightModel::Ports,
+        &Budget::unlimited(),
+    )
 }
 
-/// Runs the full pipeline with explicit synthesis options.
-///
-/// # Panics
-///
-/// See [`evaluate`].
-pub fn evaluate_with(name: &str, opts: &SynthesisOptions) -> Row {
-    evaluate_weighted(name, opts, WeightModel::Ports)
-}
-
-/// Full pipeline with an explicit fault-class weight model (experiment
-/// T1-weights: sensitivity of the averages to cell- vs port-level
-/// weighting).
-pub fn evaluate_weighted(name: &str, opts: &SynthesisOptions, model: WeightModel) -> Row {
-    evaluate_budgeted(name, opts, model, &Budget::unlimited())
-}
-
-/// Full pipeline bounded by a per-row [`Budget`] shared by every stage.
+/// Full pipeline with explicit synthesis options and fault-class weight
+/// model (experiment T1-weights: sensitivity of the averages to cell- vs
+/// port-level weighting), bounded by a per-row [`Budget`] shared by every
+/// stage.
 ///
 /// Degradation is fail-soft: a starved metric sweep keeps its evaluated
 /// prefix and sets [`Row::timed_out`]; a starved augmentation ILP falls
-/// back to the greedy heuristic and sets [`Row::degraded`]. With an
-/// unlimited budget the row is identical to [`evaluate_weighted`].
+/// back to the greedy heuristic and sets [`Row::degraded`].
 ///
 /// # Panics
 ///
@@ -100,36 +89,17 @@ pub fn evaluate_budgeted(
     model: WeightModel,
     budget: &Budget,
 ) -> Row {
-    evaluate_budgeted_with_collapse(name, opts, model, budget, true)
-}
-
-/// [`evaluate_budgeted`] with fault collapsing switched on or off for
-/// both metric sweeps — `table1 --no-collapse` routes here.
-pub fn evaluate_budgeted_with_collapse(
-    name: &str,
-    opts: &SynthesisOptions,
-    model: WeightModel,
-    budget: &Budget,
-    collapse: bool,
-) -> Row {
     let pipeline = rsn_obs::Span::enter("pipeline");
     let soc = by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let paper = rsn_itc02::table_targets(name).expect("paper row exists");
     let rsn = rsn_obs::timed("generate", || {
         generate(&soc).expect("SIB generation succeeds on embedded suite")
     });
-    let sweep = |rsn: &Rsn, profile: HardeningProfile| {
-        if collapse {
-            analyze_parallel_budgeted(rsn, profile, model, budget)
-        } else {
-            rsn_fault::analyze_parallel_budgeted_uncollapsed(rsn, profile, model, budget)
-        }
-    };
 
     let t0 = Instant::now();
     let sib = {
         let _s = pipeline.child("metric_sib");
-        sweep(&rsn, HardeningProfile::unhardened())
+        analyze_parallel_budgeted(&rsn, HardeningProfile::unhardened(), model, budget)
     };
     let synth_t0 = Instant::now();
     let synthesis = rsn_obs::timed("synth", || {
@@ -138,7 +108,7 @@ pub fn evaluate_budgeted_with_collapse(
     let synthesis_time = synth_t0.elapsed();
     let ft = {
         let _s = pipeline.child("metric_ft");
-        sweep(&synthesis.rsn, HardeningProfile::hardened())
+        analyze_parallel_budgeted(&synthesis.rsn, HardeningProfile::hardened(), model, budget)
     };
     let metric_time = t0.elapsed() - synthesis_time;
 
@@ -176,15 +146,11 @@ pub fn evaluate_budgeted_with_collapse(
 ///
 /// Returns `(checked, mismatches)`. Skipped (returns `(0, 0)`) when the
 /// network exceeds `max_nodes` — the CSU unrolling grows quadratically —
-/// or has secondary scan ports (not modeled by the BMC).
-pub fn bmc_spot_check(rsn: &Rsn, steps: usize, max_nodes: usize, max_targets: usize) -> (u64, u64) {
-    bmc_spot_check_under(rsn, steps, max_nodes, max_targets, &Budget::unlimited())
-}
-
-/// [`bmc_spot_check`] bounded by a [`Budget`]: an [`rsn_bmc::Verdict::Unknown`]
-/// verdict stops the sweep (remaining targets are neither checked nor
-/// counted), so a spot check on an already expired row budget costs one
-/// solver entry check and nothing more.
+/// or has secondary scan ports (not modeled by the BMC). An
+/// [`rsn_bmc::Verdict::Unknown`] verdict stops the sweep (remaining
+/// targets are neither checked nor counted), so a spot check on an
+/// already expired row budget costs one solver entry check and nothing
+/// more.
 pub fn bmc_spot_check_under(
     rsn: &Rsn,
     steps: usize,
@@ -220,106 +186,6 @@ pub fn bmc_spot_check_under(
     rsn_obs::counter_add("bench.bmc_checked", checked);
     rsn_obs::counter_add("bench.bmc_mismatches", mismatches);
     (checked, mismatches)
-}
-
-/// One timed accessibility sweep: the full weighted fault universe of a
-/// network evaluated through a freshly built [`AccessEngine`].
-///
-/// The timed region covers engine construction *and* the per-fault sweep,
-/// so `faults_per_sec` is comparable with an end-to-end
-/// [`rsn_fault::analyze_parallel_with`] call (the quantity tracked in
-/// `BENCH_access.json`).
-#[derive(Debug, Clone)]
-pub struct AccessSweep {
-    /// Faults in the universe (each accounted exactly once).
-    pub faults: usize,
-    /// Equivalence classes actually evaluated (== `faults` with
-    /// collapsing off).
-    pub classes: usize,
-    /// `faults / classes`, never below 1.0.
-    pub collapse_ratio: f64,
-    /// Wall-clock seconds for engine build + sweep.
-    pub seconds: f64,
-    /// `faults / seconds`.
-    pub faults_per_sec: f64,
-    /// Weighted-average segment accessibility — a correctness anchor so a
-    /// throughput gain can't silently come from computing the wrong thing.
-    pub avg_segments: f64,
-}
-
-/// Engine throughput of one benchmark: the original SIB-RSN and its
-/// synthesized fault-tolerant counterpart, each swept once.
-#[derive(Debug, Clone)]
-pub struct AccessBench {
-    /// Benchmark name.
-    pub name: String,
-    /// Sweep of the original SIB-RSN (unhardened profile).
-    pub sib: AccessSweep,
-    /// Sweep of the fault-tolerant RSN (hardened profile).
-    pub ft: AccessSweep,
-}
-
-fn timed_sweep(rsn: &Rsn, profile: HardeningProfile, collapse: bool) -> AccessSweep {
-    let faults = fault_universe_weighted(rsn, WeightModel::Ports);
-    let threads = rsn_budget::default_threads().min(16);
-    let t0 = Instant::now();
-    let engine = AccessEngine::new(rsn);
-    let report = if collapse {
-        analyze_faults_on(&engine, &faults, profile, threads)
-    } else {
-        rsn_fault::analyze_faults_on_budget_uncollapsed(
-            &engine,
-            &faults,
-            profile,
-            threads,
-            &Budget::unlimited(),
-        )
-    };
-    let seconds = t0.elapsed().as_secs_f64();
-    AccessSweep {
-        faults: faults.len(),
-        classes: report.classes,
-        collapse_ratio: report.collapse_ratio,
-        seconds,
-        faults_per_sec: faults.len() as f64 / seconds.max(1e-9),
-        avg_segments: report.avg_segments,
-    }
-}
-
-/// Measures accessibility-engine throughput on one embedded benchmark:
-/// generates the SIB-RSN, sweeps its fault universe, synthesizes the
-/// fault-tolerant RSN and sweeps that too. Records
-/// `bench.access_sib_faults_per_sec` / `bench.access_ft_faults_per_sec`
-/// gauges (the per-sweep `fault.faults_per_sec` gauge is also set by the
-/// inner [`analyze_faults_on`] calls).
-///
-/// # Panics
-///
-/// Panics if `name` is not one of the embedded benchmarks or synthesis
-/// fails (the embedded suite is expected to succeed end to end).
-pub fn bench_access(name: &str) -> AccessBench {
-    bench_access_with(name, true)
-}
-
-/// [`bench_access`] with fault collapsing switched on or off — the
-/// `--no-collapse` escape hatch measures the raw per-fault engine
-/// throughput without class sharing.
-pub fn bench_access_with(name: &str, collapse: bool) -> AccessBench {
-    let _span = rsn_obs::Span::enter("bench_access");
-    let soc = by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let rsn = generate(&soc).expect("SIB generation succeeds on embedded suite");
-    let sib = timed_sweep(&rsn, HardeningProfile::unhardened(), collapse);
-    rsn_obs::gauge_set("bench.access_sib_faults_per_sec", sib.faults_per_sec);
-    let ft_rsn = synthesize(&rsn, &SynthesisOptions::new())
-        .expect("synthesis succeeds")
-        .rsn;
-    let ft = timed_sweep(&ft_rsn, HardeningProfile::hardened(), collapse);
-    rsn_obs::gauge_set("bench.access_ft_faults_per_sec", ft.faults_per_sec);
-    AccessBench {
-        name: name.to_string(),
-        sib,
-        ft,
-    }
 }
 
 /// The 13 benchmark names in Table I order.

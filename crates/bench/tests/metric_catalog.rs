@@ -23,7 +23,8 @@ fn every_emitted_metric_is_catalogued() {
     assert!(row.ft.fault_count > 0);
     let soc = rsn_itc02::by_name("u226").expect("embedded");
     let rsn = rsn_sib::generate(&soc).expect("generate");
-    let (checked, _) = bench::bmc_spot_check(&rsn, row.levels + 2, 150, 4);
+    let (checked, _) =
+        bench::bmc_spot_check_under(&rsn, row.levels + 2, 150, 4, &Budget::unlimited());
     assert!(checked > 0, "BMC spot check must run");
     let small =
         rsn_sib::generate(&rsn_itc02::by_name("q12710").expect("embedded")).expect("generate");

@@ -2,7 +2,7 @@
 //! fault-tolerant synthesis → metric and area, with golden expectations
 //! derived from the paper's Table I shape.
 
-use ftrsn::fault::{analyze_parallel, HardeningProfile};
+use ftrsn::fault::{analyze, HardeningProfile};
 use ftrsn::itc02::{by_name, table_targets, TABLE1};
 use ftrsn::sib::generate;
 use ftrsn::synth::area::{costs, AreaModel, Overhead};
@@ -28,7 +28,7 @@ fn sib_rsn_worst_case_is_total_disconnection() {
     for name in SMALL {
         let soc = by_name(name).expect("embedded");
         let rsn = generate(&soc).expect("generate");
-        let report = analyze_parallel(&rsn, HardeningProfile::unhardened());
+        let report = analyze(&rsn, HardeningProfile::unhardened());
         assert_eq!(report.worst_segments, 0.0, "{name}");
         assert_eq!(report.worst_bits, 0.0, "{name}");
         // Average in a plausible band around the paper's 0.66–0.93.
@@ -46,7 +46,7 @@ fn ft_rsn_recovers_worst_case_and_average() {
         let soc = by_name(name).expect("embedded");
         let rsn = generate(&soc).expect("generate");
         let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
-        let report = analyze_parallel(&result.rsn, HardeningProfile::hardened());
+        let report = analyze(&result.rsn, HardeningProfile::hardened());
         // Paper: 95% – 99.9% of segments stay accessible for the worst
         // fault; over 99% on average.
         assert!(
@@ -162,10 +162,14 @@ fn every_segment_plannable_in_original_and_ft() {
 fn parallel_and_sequential_metric_agree() {
     let soc = by_name("x1331").expect("embedded");
     let rsn = generate(&soc).expect("generate");
-    let a = ftrsn::fault::analyze(&rsn, HardeningProfile::unhardened());
-    let b = analyze_parallel(&rsn, HardeningProfile::unhardened());
-    assert_eq!(a.fault_count, b.fault_count);
-    assert!((a.avg_segments - b.avg_segments).abs() < 1e-12);
-    assert_eq!(a.worst_segments, b.worst_segments);
-    assert_eq!(a.total_weight, b.total_weight);
+    let profile = HardeningProfile::unhardened();
+    // `analyze` runs on `RSN_THREADS` workers; the engine-level sweep
+    // here on exactly one.
+    let a = analyze(&rsn, profile);
+    let faults = ftrsn::fault::fault_universe(&rsn);
+    let classes = ftrsn::fault::FaultClasses::build(&rsn, &faults, profile);
+    let engine = ftrsn::fault::AccessEngine::new(&rsn);
+    let budget = ftrsn::budget::Budget::unlimited();
+    let b = ftrsn::fault::analyze_classes_on_budget(&engine, &faults, &classes, 1, &budget);
+    assert_eq!(a, b, "reports are bit-identical at any thread count");
 }

@@ -457,12 +457,12 @@ pub enum Distinguishability {
 /// not the other, or a corrupted bitstream at the scan-out of exactly
 /// one?
 ///
-/// The miter unrolls the faulty transition relation twice into one CNF,
-/// sharing the per-step primary-input and shift-datum literals (see
-/// [`encode_unrolling`]); each machine's trajectory is then a function
-/// of the stimulus and can only diverge through the fault effects
-/// themselves. A `Sat` answer is a distinguishing test; `Unsat` proves
-/// the pair equivalent within the bound — for two effects from the same
+/// The miter unrolls the faulty transition relation of
+/// [`BmcChecker::with_fault`] twice into one CNF, sharing the per-step
+/// primary-input and shift-datum literals; each machine's trajectory is
+/// then a function of the stimulus and can only diverge through the fault
+/// effects themselves. A `Sat` answer is a distinguishing test; `Unsat`
+/// proves the pair equivalent within the bound — for two effects from the same
 /// collapse class the solver must effectively re-derive the structural
 /// equivalence argument, which makes these by far the hardest SAT
 /// instances in the workload (and the benchmark family exercised by

@@ -100,8 +100,9 @@ impl FaultClasses {
     }
 
     /// The trivial partition: one singleton class per fault, in order.
-    /// Effects are still precomputed once — this is the `--no-collapse`
-    /// escape hatch, not the old per-evaluation effect derivation.
+    /// Effects are still precomputed once. Swept through
+    /// [`analyze_classes_on_budget`](crate::analyze_classes_on_budget),
+    /// it is the reference that collapsed sweeps must match exactly.
     pub fn uncollapsed(rsn: &Rsn, faults: &[Fault], profile: HardeningProfile) -> Self {
         Self::build_inner(rsn, faults, profile, false)
     }
@@ -516,7 +517,8 @@ mod tests {
     fn property_collapsed_lane_sweep_matches_uncollapsed_cold_reference() {
         use crate::effect::effect_of;
         use crate::engine::{AccessEngine, Accessibility, LANES};
-        use crate::metric::analyze_faults_on;
+        use crate::metric::analyze_classes_on_budget;
+        use rsn_budget::Budget;
 
         let mut rng = Rng(0x5eed_c011_a95e);
         for round in 0..12 {
@@ -594,7 +596,8 @@ mod tests {
                 }
                 // Aggregates of the production sweep must be bit-identical
                 // to this serial cold reference.
-                let report = analyze_faults_on(&engine, &faults, profile, 1);
+                let report =
+                    analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::unlimited());
                 let denom = weight.max(1) as f64;
                 assert_eq!(report.total_weight, weight);
                 assert_eq!(report.worst_segments, worst_seg);

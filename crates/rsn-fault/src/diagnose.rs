@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use rsn_core::{NodeId, Rsn};
 
 use crate::effect::{effect_of, FaultEffect};
-use crate::engine::{AccessEngine, Scratch, LANES};
+use crate::engine::{AccessEngine, LANES};
 use crate::fault::{fault_universe, Fault};
 use crate::metric::HardeningProfile;
 use crate::sweep::run_stealing;
@@ -42,30 +42,15 @@ impl Signature {
     }
 
     /// The predicted signature of a fault: the engine's per-segment
-    /// accessibility.
+    /// accessibility. [`FaultDictionary::build`] batch-evaluates the whole
+    /// universe instead.
     pub fn predicted(rsn: &Rsn, fault: &Fault, profile: HardeningProfile) -> Self {
-        let engine = AccessEngine::new(rsn);
-        let mut scratch = engine.scratch();
-        Signature::predicted_on(&engine, &mut scratch, fault, profile)
-    }
-
-    /// [`Signature::predicted`] on a prebuilt [`AccessEngine`] — used by
-    /// [`FaultDictionary::build`] to amortize precomputation over the
-    /// whole fault universe.
-    pub fn predicted_on(
-        engine: &AccessEngine,
-        scratch: &mut Scratch,
-        fault: &Fault,
-        profile: HardeningProfile,
-    ) -> Self {
-        let rsn = engine.rsn();
         let effect = effect_of(rsn, fault, profile);
         if effect.is_benign() {
-            return Signature {
-                bits: vec![true; rsn.segments().count()],
-            };
+            return Signature::fault_free(rsn);
         }
-        let acc = engine.accessibility(&effect, scratch);
+        let engine = AccessEngine::new(rsn);
+        let acc = engine.accessibility(&effect, &mut engine.scratch());
         Signature {
             bits: rsn.segments().map(|s| acc.accessible[s.index()]).collect(),
         }

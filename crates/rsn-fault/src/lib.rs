@@ -51,11 +51,9 @@ pub use effect::{effect_of, effect_of_indexed, is_control_segment, ControlBitInd
 pub use engine::{accessibility, AccessEngine, Accessibility, Scratch, LANES};
 pub use fault::{fault_universe, fault_universe_weighted, Fault, FaultSite, WeightModel};
 pub use metric::{
-    analyze, analyze_classes_on_budget, analyze_faults_on, analyze_faults_on_budget,
-    analyze_faults_on_budget_uncollapsed, analyze_parallel, analyze_parallel_budgeted,
-    analyze_parallel_budgeted_uncollapsed, analyze_parallel_with, analyze_with,
-    FaultToleranceReport, HardeningProfile,
+    analyze, analyze_classes_on_budget, analyze_parallel_budgeted, FaultToleranceReport,
+    HardeningProfile,
 };
-pub use multi::{analyze_double_sampled, analyze_double_sampled_on, DoubleFaultReport};
-pub use plan::{plan_faulty_access, plan_faulty_access_on, plan_targets_on, FaultyAccessPlan};
+pub use multi::{analyze_double_sampled, DoubleFaultReport};
+pub use plan::{plan_faulty_access_on, FaultyAccessPlan};
 pub use sim::FaultySim;

@@ -101,9 +101,11 @@ impl fmt::Display for FaultToleranceReport {
 }
 
 /// Computes the fault-tolerance metric of a network: for every single
-/// stuck-at fault in the collapsed universe, the fraction of scan segments
-/// and scan bits that remain accessible; aggregated as worst case and
-/// weighted average.
+/// stuck-at fault in the collapsed, port-weighted universe, the fraction
+/// of scan segments and scan bits that remain accessible; aggregated as
+/// worst case and weighted average. Runs without a budget on up to
+/// [`rsn_budget::default_threads`] workers (the `RSN_THREADS` env knob);
+/// reports are bit-identical at any thread count.
 ///
 /// # Example
 ///
@@ -117,50 +119,53 @@ impl fmt::Display for FaultToleranceReport {
 /// assert_eq!(report.worst_segments, 0.0);
 /// ```
 pub fn analyze(rsn: &Rsn, profile: HardeningProfile) -> FaultToleranceReport {
-    analyze_with(rsn, profile, WeightModel::Ports)
+    analyze_parallel_budgeted(rsn, profile, WeightModel::Ports, &Budget::unlimited())
 }
 
-/// [`analyze`] with an explicit fault-class [`WeightModel`].
-pub fn analyze_with(
+/// [`analyze`] with an explicit fault-class [`WeightModel`], bounded by a
+/// [`Budget`] (see [`analyze_classes_on_budget`] for the degradation
+/// semantics). Builds the fault universe, the engine and the class
+/// partition, then sweeps on up to [`rsn_budget::default_threads`]
+/// workers.
+pub fn analyze_parallel_budgeted(
     rsn: &Rsn,
     profile: HardeningProfile,
     model: WeightModel,
+    budget: &Budget,
 ) -> FaultToleranceReport {
     let _span = rsn_obs::Span::enter("analyze");
     let faults = fault_universe_weighted(rsn, model);
+    let threads = rsn_budget::default_threads().min(16);
     let engine = AccessEngine::new(rsn);
-    analyze_faults_on(&engine, &faults, profile, 1)
+    let classes = FaultClasses::build(rsn, &faults, profile);
+    analyze_classes_on_budget(&engine, &faults, &classes, threads, budget)
 }
 
-/// Computes the metric over an explicit fault list on a prebuilt engine
+/// Per-class sweep outcome, expanded over members during aggregation.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Evaluated(f64, f64),
+    Quarantined,
+    Skipped,
+}
+
+/// Evaluates a prebuilt class partition of `faults` on a prebuilt engine
 /// with `threads` workers sharing it (one [`Scratch`](crate::Scratch)
-/// each). Exposed so
-/// callers that already hold an [`AccessEngine`] — hardening selection,
-/// benchmarks — skip the per-call precomputation entirely.
-pub fn analyze_faults_on(
-    engine: &AccessEngine,
-    faults: &[Fault],
-    profile: HardeningProfile,
-    threads: usize,
-) -> FaultToleranceReport {
-    analyze_faults_on_budget(engine, faults, profile, threads, &Budget::unlimited())
-}
-
-/// [`analyze_faults_on`] bounded by a [`Budget`] shared across all
-/// workers (their combined work counts against one limit; one work unit
-/// per fault, charged per class before its representative runs).
+/// each), bounded by a [`Budget`] shared across all workers (their
+/// combined work counts against one limit; one work unit per fault,
+/// charged per class before its representative runs). Callers that
+/// already hold an [`AccessEngine`] — hardening selection, the service —
+/// skip the per-call precomputation entirely; an uncollapsed sweep passes
+/// [`FaultClasses::uncollapsed`].
 ///
-/// The universe is first partitioned into equivalence classes
-/// ([`FaultClasses::build`]) and one representative per class is
-/// evaluated by a work-stealing scheduler: workers claim chunks of
-/// [`LANES`] classes from a shared cursor (the
-/// crate-private `sweep` module) and evaluate each chunk's effects in one
-/// bit-parallel [`AccessEngine::accessibility_batch`] pass. Results are
-/// then expanded back over class members *serially in original fault
-/// order*,
-/// which makes every aggregate — including the f64 summation order and
-/// the `worst_fault` witness — bit-identical to an uncollapsed
-/// single-threaded sweep, independent of thread count.
+/// One representative per class is evaluated by a work-stealing
+/// scheduler: workers claim chunks of [`LANES`] classes from a shared
+/// cursor (the crate-private `sweep` module) and evaluate each chunk's
+/// effects in one bit-parallel [`AccessEngine::accessibility_batch`]
+/// pass. Results are then expanded back over class members *serially in
+/// original fault order*, which makes every aggregate — including the
+/// f64 summation order and the `worst_fault` witness — bit-identical to
+/// an uncollapsed single-threaded sweep, independent of thread count.
 ///
 /// Degradation is fail-soft on two axes:
 ///
@@ -174,40 +179,6 @@ pub fn analyze_faults_on(
 ///   quarantined, with all its members
 ///   ([`FaultToleranceReport::quarantined`], counter
 ///   `fault.quarantined`), instead of poisoning the whole run.
-pub fn analyze_faults_on_budget(
-    engine: &AccessEngine,
-    faults: &[Fault],
-    profile: HardeningProfile,
-    threads: usize,
-    budget: &Budget,
-) -> FaultToleranceReport {
-    let classes = FaultClasses::build(engine.rsn(), faults, profile);
-    analyze_classes_on_budget(engine, faults, &classes, threads, budget)
-}
-
-/// [`analyze_faults_on_budget`] without fault collapsing: one singleton
-/// class per fault, preserving the legacy one-unit-per-fault budget
-/// prefix semantics exactly. The `--no-collapse` escape hatch.
-pub fn analyze_faults_on_budget_uncollapsed(
-    engine: &AccessEngine,
-    faults: &[Fault],
-    profile: HardeningProfile,
-    threads: usize,
-    budget: &Budget,
-) -> FaultToleranceReport {
-    let classes = FaultClasses::uncollapsed(engine.rsn(), faults, profile);
-    analyze_classes_on_budget(engine, faults, &classes, threads, budget)
-}
-
-/// Per-class sweep outcome, expanded over members during aggregation.
-#[derive(Debug, Clone, Copy)]
-enum Outcome {
-    Evaluated(f64, f64),
-    Quarantined,
-    Skipped,
-}
-
-/// Evaluates a prebuilt class partition over `faults` and aggregates.
 pub fn analyze_classes_on_budget(
     engine: &AccessEngine,
     faults: &[Fault],
@@ -365,65 +336,6 @@ pub fn analyze_classes_on_budget(
     }
 }
 
-/// Multi-threaded version of [`analyze`]: up to
-/// [`rsn_budget::default_threads`] (the `RSN_THREADS` env knob) workers
-/// share one
-/// [`AccessEngine`] (one [`crate::Scratch`] per worker) and steal
-/// 64-class chunks from a shared cursor. Reports are bit-identical to the
-/// sequential version, including the `worst_fault` witness.
-pub fn analyze_parallel(rsn: &Rsn, profile: HardeningProfile) -> FaultToleranceReport {
-    analyze_parallel_with(rsn, profile, WeightModel::Ports)
-}
-
-/// [`analyze_parallel`] with an explicit fault-class [`WeightModel`].
-pub fn analyze_parallel_with(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-) -> FaultToleranceReport {
-    analyze_parallel_budgeted(rsn, profile, model, &Budget::unlimited())
-}
-
-/// [`analyze_parallel_with`] bounded by a [`Budget`] (see
-/// [`analyze_faults_on_budget`] for the degradation semantics).
-pub fn analyze_parallel_budgeted(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-    budget: &Budget,
-) -> FaultToleranceReport {
-    analyze_parallel_impl(rsn, profile, model, budget, true)
-}
-
-/// [`analyze_parallel_budgeted`] with fault collapsing switched off —
-/// every fault evaluated individually (`--no-collapse` escape hatch).
-pub fn analyze_parallel_budgeted_uncollapsed(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-    budget: &Budget,
-) -> FaultToleranceReport {
-    analyze_parallel_impl(rsn, profile, model, budget, false)
-}
-
-fn analyze_parallel_impl(
-    rsn: &Rsn,
-    profile: HardeningProfile,
-    model: WeightModel,
-    budget: &Budget,
-    collapse: bool,
-) -> FaultToleranceReport {
-    let _span = rsn_obs::Span::enter("analyze_parallel");
-    let faults = fault_universe_weighted(rsn, model);
-    let threads = rsn_budget::default_threads().min(16);
-    let engine = AccessEngine::new(rsn);
-    if collapse {
-        analyze_faults_on_budget(&engine, &faults, profile, threads, budget)
-    } else {
-        analyze_faults_on_budget_uncollapsed(&engine, &faults, profile, threads, budget)
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Partial {
     sum_segments: f64,
@@ -520,14 +432,25 @@ mod tests {
         out
     }
 
+    /// The collapsed sweep of `faults` on a prebuilt engine.
+    fn sweep(
+        engine: &AccessEngine,
+        faults: &[Fault],
+        profile: HardeningProfile,
+        threads: usize,
+        budget: &Budget,
+    ) -> FaultToleranceReport {
+        let classes = FaultClasses::build(engine.rsn(), faults, profile);
+        analyze_classes_on_budget(engine, faults, &classes, threads, budget)
+    }
+
     #[test]
     fn zero_budget_skips_all_faults() {
         let rsn = fig2();
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
         let budget = Budget::unlimited().with_work_limit(0);
-        let report =
-            analyze_faults_on_budget(&engine, &faults, HardeningProfile::unhardened(), 1, &budget);
+        let report = sweep(&engine, &faults, HardeningProfile::unhardened(), 1, &budget);
         assert_eq!(report.skipped, faults.len());
         assert_eq!(report.total_weight, 0, "nothing evaluated");
         assert!(!report.is_complete());
@@ -543,17 +466,13 @@ mod tests {
         let budget = Budget::unlimited().with_work_limit(4);
         // Uncollapsed: one unit per fault, so exactly the first 4 faults
         // are admitted and the rest skipped.
-        let report = analyze_faults_on_budget_uncollapsed(
-            &engine,
-            &faults,
-            HardeningProfile::unhardened(),
-            1,
-            &budget,
-        );
+        let profile = HardeningProfile::unhardened();
+        let classes = FaultClasses::uncollapsed(&rsn, &faults, profile);
+        let report = analyze_classes_on_budget(&engine, &faults, &classes, 1, &budget);
         // 4 admitted checks → 4 evaluated, rest skipped; the evaluated
         // prefix aggregates match a run over just that prefix.
         assert_eq!(report.skipped, faults.len() - 4);
-        let prefix = analyze_faults_on(&engine, &faults[..4], HardeningProfile::unhardened(), 1);
+        let prefix = sweep(&engine, &faults[..4], profile, 1, &Budget::unlimited());
         assert_eq!(report.total_weight, prefix.total_weight);
         assert_eq!(report.worst_segments, prefix.worst_segments);
         assert_eq!(report.avg_bits, prefix.avg_bits);
@@ -586,8 +505,7 @@ mod tests {
             }
         }
         let budget = Budget::unlimited().with_work_limit(1);
-        let report =
-            analyze_faults_on_budget(&engine, &faults, HardeningProfile::unhardened(), 1, &budget);
+        let report = sweep(&engine, &faults, HardeningProfile::unhardened(), 1, &budget);
         assert_eq!(report.skipped, expect_skipped);
         assert!(report.skipped > 0, "1 unit cannot cover fig2");
         assert_eq!(report.quarantined, 0);
@@ -600,8 +518,9 @@ mod tests {
         let rsn = generate(&soc).expect("generate");
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
-        let serial = analyze_faults_on(&engine, &faults, HardeningProfile::unhardened(), 1);
-        let parallel = analyze_faults_on(&engine, &faults, HardeningProfile::unhardened(), 4);
+        let profile = HardeningProfile::unhardened();
+        let serial = sweep(&engine, &faults, profile, 1, &Budget::unlimited());
+        let parallel = sweep(&engine, &faults, profile, 4, &Budget::unlimited());
         // PartialEq compares every f64 exactly: serial re-aggregation in
         // fault order makes the sweep bit-identical at any thread count.
         assert_eq!(serial, parallel);
@@ -614,14 +533,10 @@ mod tests {
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
         for profile in [HardeningProfile::unhardened(), HardeningProfile::hardened()] {
-            let collapsed = analyze_faults_on(&engine, &faults, profile, 1);
-            let reference = analyze_faults_on_budget_uncollapsed(
-                &engine,
-                &faults,
-                profile,
-                1,
-                &Budget::unlimited(),
-            );
+            let collapsed = sweep(&engine, &faults, profile, 1, &Budget::unlimited());
+            let singletons = FaultClasses::uncollapsed(&rsn, &faults, profile);
+            let reference =
+                analyze_classes_on_budget(&engine, &faults, &singletons, 1, &Budget::unlimited());
             assert!(collapsed.collapse_ratio > 1.0, "{collapsed:?}");
             assert!(collapsed.classes < faults.len());
             // Everything except the class bookkeeping must be bitwise
@@ -651,7 +566,7 @@ mod tests {
         faults.insert(faults.len() / 2, poison);
         let engine = AccessEngine::new(&rsn);
         let report = with_quiet_panics(|| {
-            analyze_faults_on_budget(
+            sweep(
                 &engine,
                 &faults,
                 HardeningProfile::unhardened(),
@@ -721,7 +636,7 @@ mod tests {
         }
         let engine = AccessEngine::new(&rsn);
         let report = with_quiet_panics(|| {
-            analyze_faults_on_budget(
+            sweep(
                 &engine,
                 &faults,
                 HardeningProfile::unhardened(),
@@ -739,8 +654,10 @@ mod tests {
         let rsn = fig2();
         let faults = crate::fault::fault_universe(&rsn);
         let engine = AccessEngine::new(&rsn);
-        let plain = analyze_faults_on(&engine, &faults, HardeningProfile::unhardened(), 2);
-        let budgeted = analyze_faults_on_budget(
+        // The network-level convenience builds its own universe, engine
+        // and classes; the engine-level sweep reuses prebuilt ones.
+        let plain = analyze(&rsn, HardeningProfile::unhardened());
+        let budgeted = sweep(
             &engine,
             &faults,
             HardeningProfile::unhardened(),

@@ -62,6 +62,11 @@ pub struct DoubleFaultReport {
 /// Evaluates a deterministic sample of fault pairs: every `stride`-th pair
 /// of the cross product in a fixed interleaving.
 ///
+/// The sampled pairs are evaluated by the shared work-stealing scheduler
+/// in chunks of [`LANES`] pairs, one bit-parallel engine pass each (one
+/// [`crate::Scratch`] per worker), and aggregated serially in sample
+/// order, so the report is bit-identical at any worker count.
+///
 /// # Example
 ///
 /// ```
@@ -79,23 +84,6 @@ pub fn analyze_double_sampled(
     stride: usize,
 ) -> DoubleFaultReport {
     let engine = AccessEngine::new(rsn);
-    analyze_double_sampled_on(&engine, profile, stride)
-}
-
-/// [`analyze_double_sampled`] on a prebuilt [`AccessEngine`] — the pair
-/// sweep is quadratic in the fault universe, so reusing the engine's
-/// precomputation matters more here than anywhere else.
-///
-/// The sampled pairs are evaluated by the shared work-stealing scheduler
-/// in chunks of [`LANES`] pairs, one bit-parallel engine pass each (one
-/// [`crate::Scratch`] per worker), and aggregated serially in sample
-/// order, so the report is bit-identical at any worker count.
-pub fn analyze_double_sampled_on(
-    engine: &AccessEngine,
-    profile: HardeningProfile,
-    stride: usize,
-) -> DoubleFaultReport {
-    let rsn = engine.rsn();
     let faults = fault_universe(rsn);
     let effects: Vec<FaultEffect> = faults.iter().map(|f| effect_of(rsn, f, profile)).collect();
     let total_segments = rsn.segments().count();
@@ -315,15 +303,6 @@ mod tests {
         // The histogram tail (all 4 segments lost) must be populated: A's
         // data fault alone already loses the full network.
         assert!(report.lost_histogram[4] > 0, "{:?}", report.lost_histogram);
-    }
-
-    #[test]
-    fn engine_reuse_matches_one_shot_sweep() {
-        let rsn = fig2();
-        let engine = AccessEngine::new(&rsn);
-        let via_engine = analyze_double_sampled_on(&engine, HardeningProfile::unhardened(), 3);
-        let one_shot = analyze_double_sampled(&rsn, HardeningProfile::unhardened(), 3);
-        assert_eq!(via_engine, one_shot);
     }
 
     #[test]

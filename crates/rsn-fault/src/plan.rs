@@ -21,7 +21,6 @@ use rsn_core::{Config, ControlExpr, NodeId, NodeKind, Rsn};
 
 use crate::effect::FaultEffect;
 use crate::engine::AccessEngine;
-use crate::sweep::{run_stealing, BATCH};
 
 /// A concrete faulty-access plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,23 +275,14 @@ fn clean_path(engine: &AccessEngine, effect: &FaultEffect, target: NodeId) -> Op
     Some(prefix)
 }
 
-/// Plans a clean-write access to `target` in the faulty network.
+/// Plans a clean-write access to `target` in the faulty network on a
+/// prebuilt [`AccessEngine`], reusing its cached reset configuration and
+/// root/sink lists across many planning calls (one per fault × segment
+/// in repair sweeps).
 ///
 /// Returns `None` when the target is not accessible with a clean-write
 /// strategy (in particular when recovery would require exploiting dirty
 /// writes, which the planner deliberately avoids).
-pub fn plan_faulty_access(
-    rsn: &Rsn,
-    effect: &FaultEffect,
-    target: NodeId,
-) -> Option<FaultyAccessPlan> {
-    let engine = AccessEngine::new(rsn);
-    plan_faulty_access_on(&engine, effect, target)
-}
-
-/// [`plan_faulty_access`] on a prebuilt [`AccessEngine`], reusing its
-/// cached reset configuration and root/sink lists across many planning
-/// calls (one per fault × segment in repair sweeps).
 pub fn plan_faulty_access_on(
     engine: &AccessEngine,
     effect: &FaultEffect,
@@ -388,28 +378,6 @@ pub fn plan_faulty_access_on(
     None
 }
 
-/// Plans accesses to every target segment under one fault effect,
-/// fanning [`plan_faulty_access_on`] over the work-stealing scheduler.
-/// Results come back in target order (`None` where no clean-write plan
-/// exists), identical to calling the planner serially — planning is a
-/// pure function of `(effect, target)`.
-pub fn plan_targets_on(
-    engine: &AccessEngine,
-    effect: &FaultEffect,
-    targets: &[NodeId],
-) -> Vec<Option<FaultyAccessPlan>> {
-    let threads = rsn_budget::default_threads().min(16);
-    run_stealing(
-        targets.len(),
-        threads,
-        BATCH,
-        || (),
-        |_, range, out| {
-            out.extend(range.map(|i| plan_faulty_access_on(engine, effect, targets[i])))
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,7 +453,8 @@ mod tests {
             weight: 2,
         };
         let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
-        let plan = plan_faulty_access(&rsn, &effect, c).expect("C reachable via its branch");
+        let plan = plan_faulty_access_on(&AccessEngine::new(&rsn), &effect, c)
+            .expect("C reachable via its branch");
         assert!(!plan.path.contains(&b), "plan must avoid the fault site");
         assert!(execute_and_verify(&rsn, fault, &plan), "sim round trip");
     }
@@ -546,38 +515,21 @@ mod tests {
         };
         let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
         // Address stuck at 0: B stays reachable, C does not.
-        let plan = plan_faulty_access(&rsn, &effect, b).expect("B plannable");
+        let engine = AccessEngine::new(&rsn);
+        let plan = plan_faulty_access_on(&engine, &effect, b).expect("B plannable");
         assert!(plan.path.contains(&b));
         let c = rsn.find("C").expect("C");
-        assert!(plan_faulty_access(&rsn, &effect, c).is_none());
+        assert!(plan_faulty_access_on(&engine, &effect, c).is_none());
     }
 
     #[test]
     fn fault_free_effect_plans_everything() {
         let soc = parse_soc("SocName t\n1 0 0 0 2 : 3 2\n").expect("parse");
         let rsn = generate(&soc).expect("generate");
-        for seg in rsn.segments() {
-            let plan = plan_faulty_access(&rsn, &FaultEffect::benign(), seg);
-            assert!(plan.is_some(), "{} must be plannable", rsn.node(seg).name());
-        }
-    }
-
-    #[test]
-    fn plan_sweep_matches_serial_planner() {
-        let rsn = fig2();
-        let b = rsn.find("B").expect("B");
-        let fault = Fault {
-            site: FaultSite::SegmentData(b),
-            value: false,
-            weight: 2,
-        };
-        let effect = effect_of(&rsn, &fault, HardeningProfile::unhardened());
         let engine = AccessEngine::new(&rsn);
-        let targets: Vec<NodeId> = rsn.segments().collect();
-        let swept = plan_targets_on(&engine, &effect, &targets);
-        assert_eq!(swept.len(), targets.len());
-        for (seg, plan) in targets.iter().zip(&swept) {
-            assert_eq!(plan, &plan_faulty_access_on(&engine, &effect, *seg));
+        for seg in rsn.segments() {
+            let plan = plan_faulty_access_on(&engine, &FaultEffect::benign(), seg);
+            assert!(plan.is_some(), "{} must be plannable", rsn.node(seg).name());
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Work-stealing sweep scheduler shared by every parallel fault-sweep
-//! entry point (`metric`, `multi`, `diagnose`, `plan`).
+//! entry point (`metric`, `multi`, `diagnose`).
 //!
 //! Per-item costs in a fault sweep are skewed: a chunk of faults near the
 //! scan-in port converges in one fixed-point round while a chunk of deep
@@ -17,11 +17,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Chunk size of item-at-a-time sweeps (planning). Small enough that a
-/// skewed tail cannot strand more than `BATCH - 1` cheap items behind one
-/// expensive one, large enough to amortize the atomic claim.
-pub(crate) const BATCH: usize = 16;
 
 /// Evaluates every index of `0..len` across up to `threads` workers and
 /// returns the results in index order.
@@ -130,6 +125,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A mid-sized chunk next to the 1- and 64-item ones.
+    const BATCH: usize = 16;
 
     #[test]
     fn every_index_evaluated_exactly_once_in_order() {

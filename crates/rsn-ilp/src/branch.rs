@@ -4,8 +4,8 @@
 //! two-phase simplex and the tree is explored best-first (lowest LP bound
 //! first). Lazily separated constraints — the subtour-elimination cuts of
 //! the RSN augmentation ILP — are added through
-//! [`solve_ilp_with_cuts`], mirroring the "lazy constraints" interface of
-//! commercial solvers.
+//! [`solve_ilp_with_cuts_under`], mirroring the "lazy constraints"
+//! interface of commercial solvers.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -319,7 +319,8 @@ fn solve_ilp_impl(
     }
 }
 
-/// Solves an ILP with lazily separated constraints.
+/// Solves an ILP with lazily separated constraints, bounded by a
+/// [`Budget`] shared across all cut rounds.
 ///
 /// After each optimal integral solution, `separate` is called with the
 /// solution vector; if it returns violated constraints they are added to
@@ -330,20 +331,6 @@ fn solve_ilp_impl(
 /// subtour-elimination constraints in the RSN augmentation ILP (paper
 /// eq. 4): only cuts violated by an actual solution are materialized.
 ///
-/// # Errors
-///
-/// Same as [`solve_ilp`], plus termination after 1000 cut rounds is
-/// reported as [`IlpError::NodeLimit`].
-pub fn solve_ilp_with_cuts(
-    problem: &Problem,
-    separate: impl FnMut(&[f64]) -> Vec<Constraint>,
-) -> Result<IlpSolution, IlpError> {
-    solve_ilp_with_cuts_under(problem, separate, &Budget::unlimited())
-}
-
-/// Like [`solve_ilp_with_cuts`], bounded by a [`Budget`] shared across
-/// all cut rounds.
-///
 /// An incumbent returned under exhaustion satisfies every *separated*
 /// constraint: if the budget trips mid-round and the unproven incumbent
 /// still violates lazy cuts, it is unusable for the full model and the
@@ -351,7 +338,8 @@ pub fn solve_ilp_with_cuts(
 ///
 /// # Errors
 ///
-/// Those of [`solve_ilp_with_cuts`], plus [`IlpError::Budget`] when the
+/// Same as [`solve_ilp`], plus termination after 1000 cut rounds is
+/// reported as [`IlpError::NodeLimit`], and [`IlpError::Budget`] when the
 /// budget ran out before any fully lazily-feasible solution was found.
 pub fn solve_ilp_with_cuts_under(
     problem: &Problem,
@@ -468,18 +456,22 @@ mod tests {
             .map(|i| p.add_binary_var(format!("x{i}"), -1.0))
             .collect();
         let vs = v.clone();
-        let sol = solve_ilp_with_cuts(&p, move |x| {
-            let total: f64 = vs.iter().map(|&v| x[v.index()]).sum();
-            if total > 2.5 {
-                vec![Constraint {
-                    terms: vs.iter().map(|&v| (v, 1.0)).collect(),
-                    op: ConstraintOp::Le,
-                    rhs: 2.0,
-                }]
-            } else {
-                Vec::new()
-            }
-        })
+        let sol = solve_ilp_with_cuts_under(
+            &p,
+            move |x| {
+                let total: f64 = vs.iter().map(|&v| x[v.index()]).sum();
+                if total > 2.5 {
+                    vec![Constraint {
+                        terms: vs.iter().map(|&v| (v, 1.0)).collect(),
+                        op: ConstraintOp::Le,
+                        rhs: 2.0,
+                    }]
+                } else {
+                    Vec::new()
+                }
+            },
+            &Budget::unlimited(),
+        )
         .expect("solvable");
         assert!((sol.objective + 2.0).abs() < 1e-6);
         assert_eq!(sol.cut_rounds, 1);

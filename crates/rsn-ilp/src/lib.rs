@@ -10,9 +10,9 @@
 //!   linear constraints, minimization objective ([`model`]).
 //! * [`solve_lp`] — two-phase dense primal simplex with Bland anti-cycling
 //!   fallback ([`simplex`]).
-//! * [`solve_ilp`] / [`solve_ilp_with_cuts`] — best-first branch & bound
-//!   over the LP relaxation, with a lazy-cut callback exactly like the
-//!   "lazy constraint" interface of commercial solvers ([`branch`]).
+//! * [`solve_ilp`] / [`solve_ilp_with_cuts_under`] — best-first branch &
+//!   bound over the LP relaxation, with a lazy-cut callback exactly like
+//!   the "lazy constraint" interface of commercial solvers ([`branch`]).
 //!
 //! # Example
 //!
@@ -36,9 +36,6 @@ pub mod branch;
 pub mod model;
 pub mod simplex;
 
-pub use branch::{
-    solve_ilp, solve_ilp_under, solve_ilp_with_cuts, solve_ilp_with_cuts_under, IlpError,
-    IlpSolution,
-};
+pub use branch::{solve_ilp, solve_ilp_under, solve_ilp_with_cuts_under, IlpError, IlpSolution};
 pub use model::{Constraint, ConstraintOp, Problem, VarId};
 pub use simplex::{solve_lp, solve_lp_with_stats, LpOutcome, LpStats};

@@ -139,11 +139,9 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     // rsn-fail: chaos injection (label carries the point, e.g.
     // `fail.injected{point=sat.solve}`).
     (Counter, "fail.injected"),
-    // crates/bench: cross-checks and throughput.
+    // crates/bench: cross-checks.
     (Counter, "bench.bmc_checked"),
     (Counter, "bench.bmc_mismatches"),
-    (Gauge, "bench.access_sib_faults_per_sec"),
-    (Gauge, "bench.access_ft_faults_per_sec"),
 ];
 
 /// Strips an inline label suffix: `budget.spent{engine=sat}` →

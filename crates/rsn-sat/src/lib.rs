@@ -11,9 +11,8 @@
 //!   equality, at-most-one) on top of a solver ([`cnf`]).
 //! * DIMACS parsing and emission ([`dimacs`]).
 //! * Parallel solving — a diversified CDCL portfolio with a shared
-//!   learnt-clause ring and cube-and-conquer escalation
-//!   ([`portfolio`], [`pool`]); see
-//!   [`Solver::solve_portfolio_under`] and [`Solver::set_threads`].
+//!   learnt-clause ring and cube-and-conquer escalation, reached through
+//!   [`Solver::set_threads`].
 //!
 //! # Example
 //!
@@ -33,11 +32,10 @@ pub mod cnf;
 pub mod dimacs;
 mod eliminate;
 pub mod lit;
-pub mod pool;
-pub mod portfolio;
+mod pool;
+mod portfolio;
 pub mod solver;
 
 pub use cnf::CnfBuilder;
 pub use lit::{Lit, Var};
-pub use pool::ClausePool;
-pub use solver::{RestartSchedule, SearchConfig, SolveOutcome, Solver};
+pub use solver::{SolveOutcome, Solver};

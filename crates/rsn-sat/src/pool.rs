@@ -42,7 +42,7 @@ struct Slot {
 
 /// A fixed-capacity ring of short learnt clauses shared between
 /// portfolio workers. See the module docs for the protocol.
-pub struct ClausePool {
+pub(crate) struct ClausePool {
     slots: Vec<Slot>,
     /// Next sequence number to hand out, minus one: the stamp of the
     /// youngest published clause.
@@ -67,11 +67,6 @@ impl ClausePool {
             imports: AtomicU64::new(0),
             exports: AtomicU64::new(0),
         }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Clauses successfully published so far.

@@ -1,8 +1,8 @@
 //! Portfolio CDCL with shared learnt clauses and cube-and-conquer.
 //!
-//! [`Solver::solve_portfolio_under`] (and any budgeted solve on a solver
-//! configured with [`Solver::set_threads`] > 1) races `N` diversified
-//! CDCL workers, each a clone of the caller's solver:
+//! Every solve on a solver configured with [`Solver::set_threads`] > 1
+//! races `N` diversified CDCL workers, each a clone of the caller's
+//! solver:
 //!
 //! * **Diversification** — each worker gets a different restart schedule
 //!   (Luby bases / geometric), VSIDS decay and phase-polarity seed, so
@@ -153,7 +153,6 @@ fn strategy(i: usize) -> (&'static str, SearchConfig) {
             restart,
             var_decay,
             phase_seed,
-            chrono: None,
         },
     )
 }
@@ -170,11 +169,10 @@ struct PortfolioRun {
     eliminated: u64,
 }
 
-/// Entry point used by [`Solver::solve_with_under`] /
-/// [`Solver::solve_portfolio_with_under`] when `threads > 1`. Owns the
-/// whole observability export for the logical solve (the workers bypass
-/// the instrumented wrapper), mirroring the serial counter set and
-/// adding the portfolio-specific metrics.
+/// Entry point used by [`Solver::solve_with_under`] when `threads > 1`.
+/// Owns the whole observability export for the logical solve (the
+/// workers bypass the instrumented wrapper), mirroring the serial counter
+/// set and adding the portfolio-specific metrics.
 pub(crate) fn solve_portfolio(
     base: &mut Solver,
     assumptions: &[Lit],
@@ -960,6 +958,17 @@ mod tests {
         Lit::neg(v)
     }
 
+    /// A budgeted solve of `s` on `threads` workers.
+    fn solve_on(
+        s: &mut Solver,
+        assumptions: &[Lit],
+        budget: &Budget,
+        threads: usize,
+    ) -> SolveOutcome {
+        s.set_threads(threads);
+        s.solve_with_under(assumptions, budget)
+    }
+
     /// n pigeons into n-1 holes: hard enough to exercise conflicts.
     fn pigeonhole(n: usize) -> Solver {
         let holes = n - 1;
@@ -985,7 +994,7 @@ mod tests {
         // php(8) needs ~4.8k serial conflicts: past the phase-0 burst,
         // so diversified workers genuinely race for this verdict.
         let mut s = pigeonhole(8);
-        let out = s.solve_portfolio_under(&Budget::unlimited(), 4);
+        let out = solve_on(&mut s, &[], &Budget::unlimited(), 4);
         assert_eq!(out, SolveOutcome::Unsat);
         // The verdict is latched: a plain re-solve is immediate.
         assert!(!s.solve());
@@ -1000,7 +1009,7 @@ mod tests {
             s.add_clause([lp(w[0]), lp(w[1])]);
             s.add_clause([ln(w[0]), ln(w[1])]);
         }
-        let out = s.solve_portfolio_under(&Budget::unlimited(), 4);
+        let out = solve_on(&mut s, &[], &Budget::unlimited(), 4);
         assert_eq!(out, SolveOutcome::Sat);
         for w in x.windows(2) {
             let a = s.value(w[0]).expect("assigned");
@@ -1015,7 +1024,7 @@ mod tests {
         let vars: Vec<Var> = (0..6).map(|_| s.new_var()).collect();
         s.add_clause([ln(vars[1]), ln(vars[2])]);
         let assumptions: Vec<Lit> = vars.iter().map(|&v| lp(v)).collect();
-        let out = s.solve_portfolio_with_under(&assumptions, &Budget::unlimited(), 4);
+        let out = solve_on(&mut s, &assumptions, &Budget::unlimited(), 4);
         assert_eq!(out, SolveOutcome::Unsat);
         let core = s.core().to_vec();
         assert!(!core.is_empty());
@@ -1028,8 +1037,9 @@ mod tests {
     fn one_thread_portfolio_is_bit_identical_to_serial() {
         let mut a = pigeonhole(5);
         let mut b = a.clone();
-        let out_a = a.solve_under(&Budget::unlimited());
-        let out_b = b.solve_portfolio_under(&Budget::unlimited(), 1);
+        let out_a = a.solve_with_under(&[], &Budget::unlimited());
+        // Zero clamps to one worker: the serial loop.
+        let out_b = solve_on(&mut b, &[], &Budget::unlimited(), 0);
         assert_eq!(out_a, out_b);
         assert_eq!(a.stats(), b.stats(), "threads==1 must take the serial loop");
     }
@@ -1048,18 +1058,18 @@ mod tests {
         s.set_threads(3);
         assert!(s.solve_with(&[ln(a)]));
         assert_eq!(s.value(b), Some(true));
-        let core = s.solve_with_core(&[ln(a), ln(b)]).expect("unsat");
-        assert!(!core.is_empty());
+        assert!(!s.solve_with(&[ln(a), ln(b)]));
+        assert!(!s.core().is_empty());
     }
 
     #[test]
     fn exhausted_budget_yields_unknown() {
         let mut s = pigeonhole(7);
-        let out = s.solve_portfolio_under(&Budget::unlimited().with_work_limit(0), 4);
+        let out = solve_on(&mut s, &[], &Budget::unlimited().with_work_limit(0), 4);
         assert!(out.is_unknown());
         // Still usable afterwards.
         assert_eq!(
-            s.solve_portfolio_under(&Budget::unlimited(), 4),
+            s.solve_with_under(&[], &Budget::unlimited()),
             SolveOutcome::Unsat
         );
     }
@@ -1069,7 +1079,7 @@ mod tests {
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
         let mut s = pigeonhole(7);
-        let out = s.solve_portfolio_under(&budget, 4);
+        let out = solve_on(&mut s, &[], &budget, 4);
         assert_eq!(
             out,
             SolveOutcome::Unknown {
@@ -1271,7 +1281,7 @@ mod tests {
         // php(8) outlives the phase-0 burst, so workers really spawn
         // (and all die at the failpoint).
         let mut s = pigeonhole(8);
-        let out = s.solve_portfolio_under(&Budget::unlimited(), 4);
+        let out = solve_on(&mut s, &[], &Budget::unlimited(), 4);
         rsn_fail::clear();
         assert_eq!(out, SolveOutcome::Unsat);
     }
@@ -1288,9 +1298,9 @@ mod tests {
         for w in vars.windows(2) {
             sat_case.add_clause([lp(w[0]), lp(w[1])]);
         }
-        let out = sat_case.solve_portfolio_under(&Budget::unlimited(), 4);
+        let out = solve_on(&mut sat_case, &[], &Budget::unlimited(), 4);
         let mut unsat_case = pigeonhole(8);
-        let out2 = unsat_case.solve_portfolio_under(&Budget::unlimited(), 4);
+        let out2 = solve_on(&mut unsat_case, &[], &Budget::unlimited(), 4);
         rsn_fail::clear();
         assert_eq!(out, SolveOutcome::Sat);
         assert_eq!(out2, SolveOutcome::Unsat);

@@ -121,7 +121,7 @@ impl VarOrder {
 /// this schedule (and over [`SearchConfig::var_decay`] / phase seeds) so
 /// each worker explores a different part of the search space.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RestartSchedule {
+pub(crate) enum RestartSchedule {
     /// Luby sequence (1,1,2,1,1,2,4,…) scaled by `base` conflicts.
     Luby {
         /// Conflicts per Luby unit.
@@ -154,7 +154,7 @@ impl RestartSchedule {
 /// 0.95, saved phases untouched), so a default-configured solve is
 /// bit-identical to the pre-configurable solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SearchConfig {
+pub(crate) struct SearchConfig {
     /// Restart schedule.
     pub restart: RestartSchedule,
     /// VSIDS activity decay per conflict (`var_inc /= var_decay`).
@@ -163,20 +163,6 @@ pub struct SearchConfig {
     /// splitmix64 seed before the search starts (portfolio
     /// diversification); `None` keeps the saved phases as-is.
     pub phase_seed: Option<u64>,
-    /// Chronological-backtracking threshold (Nadel & Ryvchin, SAT'18).
-    /// When a conflict's computed backjump would unwind more than this
-    /// many levels, the solver backtracks a single level instead and
-    /// asserts the learnt clause there — the clause is unit at every
-    /// level between the backjump target and the conflict level, so
-    /// this is sound, and it keeps deep, expensively propagated trail
-    /// prefixes intact. `None` (the default) always backjumps — the
-    /// historical behaviour the `threads == 1` bit-identical contract
-    /// freezes. Opt-in: on the miter workloads the saved re-propagation
-    /// is outweighed by the conflict-count explosion from asserting
-    /// learnt clauses at inflated levels, so no built-in strategy
-    /// enables it; it remains a diversification axis for callers whose
-    /// instances reward it.
-    pub chrono: Option<u32>,
 }
 
 impl Default for SearchConfig {
@@ -185,7 +171,6 @@ impl Default for SearchConfig {
             restart: RestartSchedule::Luby { base: 100 },
             var_decay: 0.95,
             phase_seed: None,
-            chrono: None,
         }
     }
 }
@@ -205,7 +190,7 @@ pub struct Stats {
     pub learnts: u64,
 }
 
-/// Tri-state result of a budgeted solve ([`Solver::solve_under`]).
+/// Tri-state result of a budgeted solve ([`Solver::solve_with_under`]).
 ///
 /// `Unknown` means the budget ran out before the solver reached a
 /// verdict — the formula may be either satisfiable or unsatisfiable. The
@@ -333,20 +318,22 @@ impl Solver {
     /// Replaces the search heuristics (restart schedule, VSIDS decay,
     /// phase scrambling seed). The default reproduces the serial solver
     /// exactly; portfolio workers diversify over this.
-    pub fn set_search_config(&mut self, config: SearchConfig) {
+    pub(crate) fn set_search_config(&mut self, config: SearchConfig) {
         self.config = config;
     }
 
     /// Current search heuristics.
-    pub fn search_config(&self) -> SearchConfig {
+    pub(crate) fn search_config(&self) -> SearchConfig {
         self.config
     }
 
-    /// Sets the worker count used by budgeted solves. `1` (the default)
-    /// keeps the exact serial CDCL loop — bit-identical verdicts and
-    /// stats; `n > 1` routes [`Solver::solve_with_under`] (and therefore
-    /// `solve_with`, `solve`, `solve_with_core`, `shrink_core_under`)
-    /// through an `n`-worker portfolio with shared learnt clauses.
+    /// Sets the worker count of every solve: the one public way to reach
+    /// the parallel portfolio. `1` (the default) keeps the exact serial
+    /// CDCL loop — bit-identical verdicts and stats; `n > 1` routes
+    /// [`Solver::solve_with_under`] (and therefore `solve_with`, `solve`
+    /// and `shrink_core_under`) through an `n`-worker portfolio of
+    /// diversified CDCL workers sharing short learnt clauses, escalating
+    /// to cube-and-conquer on instances that survive the conflict quota.
     /// Values are clamped to at least 1.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -752,11 +739,6 @@ impl Solver {
         }
     }
 
-    /// Solves the formula under a [`Budget`], without assumptions.
-    pub fn solve_under(&mut self, budget: &Budget) -> SolveOutcome {
-        self.solve_with_under(&[], budget)
-    }
-
     /// Solves under assumptions and a [`Budget`].
     ///
     /// One work unit is spent on entry (so a zero budget deterministically
@@ -784,35 +766,6 @@ impl Solver {
             return crate::portfolio::solve_portfolio(self, assumptions, budget, self.threads);
         }
         self.solve_serial_instrumented(assumptions, budget)
-    }
-
-    /// Portfolio solve without assumptions: `threads` diversified CDCL
-    /// workers race on clones of this solver, sharing short learnt
-    /// clauses; instances surviving the conflict quota escalate to
-    /// cube-and-conquer. `threads == 1` takes the exact serial loop —
-    /// same verdict, same [`Stats`] as [`Solver::solve_under`].
-    pub fn solve_portfolio_under(&mut self, budget: &Budget, threads: usize) -> SolveOutcome {
-        self.solve_portfolio_with_under(&[], budget, threads)
-    }
-
-    /// Portfolio solve under assumptions; see
-    /// [`Solver::solve_portfolio_under`]. On `Unsat` the winner's
-    /// failed-assumption core is available through [`Solver::core`],
-    /// on `Sat` the winner's model through [`Solver::value`] — exactly
-    /// as after a serial solve.
-    pub fn solve_portfolio_with_under(
-        &mut self,
-        assumptions: &[Lit],
-        budget: &Budget,
-        threads: usize,
-    ) -> SolveOutcome {
-        if rsn_fail::eval("sat.solve").is_some() {
-            budget.cancel();
-        }
-        if threads <= 1 {
-            return self.solve_serial_instrumented(assumptions, budget);
-        }
-        crate::portfolio::solve_portfolio(self, assumptions, budget, threads)
     }
 
     fn solve_serial_instrumented(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
@@ -947,20 +900,6 @@ impl Solver {
                 let bt = bt_level
                     .max(assumptions.len() as u32)
                     .min(self.current_level() - 1);
-                // Chronological backtracking: a learnt clause with ≥ 2
-                // literals is unit at every level in `bt..current`, so
-                // when the jump would discard more than the configured
-                // number of levels, retreat one level instead and assert
-                // it there. Unit learnts always take the full jump — they
-                // belong at the root (or the assumption prefix), and
-                // asserting them higher with no reason clause would
-                // masquerade as a decision during conflict analysis.
-                let bt = match self.config.chrono {
-                    Some(t) if learnt.len() >= 2 && self.current_level() - 1 - bt > t => {
-                        self.current_level() - 1
-                    }
-                    _ => bt,
-                };
                 self.backtrack(bt);
                 if learnt.len() == 1 && bt == 0 {
                     if self.lit_value(learnt[0]) == UNDEF {
@@ -1161,19 +1100,6 @@ impl Solver {
     /// after the `Unsat` verdict.
     pub fn core(&self) -> &[Lit] {
         &self.core
-    }
-
-    /// Solves under assumptions; on an unsatisfiable outcome returns the
-    /// failed-assumption core (see [`Solver::core`]), `None` when
-    /// satisfiable. The returned core is a valid but not necessarily
-    /// minimal subset — pass it to [`Solver::shrink_core_under`] for
-    /// deletion-based minimization.
-    pub fn solve_with_core(&mut self, assumptions: &[Lit]) -> Option<Vec<Lit>> {
-        if self.solve_with(assumptions) {
-            None
-        } else {
-            Some(self.core.clone())
-        }
     }
 
     /// Budget-aware deletion-based minimization of a failed-assumption
@@ -1754,7 +1680,7 @@ mod tests {
     fn zero_budget_returns_unknown() {
         use rsn_budget::Budget;
         let mut s = pigeonhole_4_3();
-        let out = s.solve_under(&Budget::unlimited().with_work_limit(0));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_work_limit(0));
         match out {
             SolveOutcome::Unknown { conflicts, reason } => {
                 assert_eq!(conflicts, 0);
@@ -1771,7 +1697,7 @@ mod tests {
         use rsn_budget::Budget;
         use std::time::Duration;
         let mut s = pigeonhole_4_3();
-        let out = s.solve_under(&Budget::unlimited().with_deadline(Duration::ZERO));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_deadline(Duration::ZERO));
         assert_eq!(
             out,
             SolveOutcome::Unknown {
@@ -1787,7 +1713,7 @@ mod tests {
         let mut s = pigeonhole_4_3();
         // 1 entry unit + conflict units; the conflict whose check trips
         // is already counted, so at most `limit` conflicts happen.
-        let out = s.solve_under(&Budget::unlimited().with_work_limit(3));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_work_limit(3));
         match out {
             SolveOutcome::Unknown { conflicts, reason } => {
                 assert!(conflicts <= 3, "overran conflict budget: {conflicts}");
@@ -1797,7 +1723,7 @@ mod tests {
             other => panic!("expected Unknown, got {other:?}"),
         }
         // Re-solving with a fresh, bigger budget finishes the proof.
-        let out = s.solve_under(&Budget::unlimited().with_work_limit(1_000_000));
+        let out = s.solve_with_under(&[], &Budget::unlimited().with_work_limit(1_000_000));
         assert_eq!(out, SolveOutcome::Unsat);
     }
 
@@ -1808,11 +1734,11 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_var();
         s.add_clause([lp(a)]);
-        assert!(s.solve_under(&budget).is_unknown());
+        assert!(s.solve_with_under(&[], &budget).is_unknown());
         // Same budget again: still Unknown, even for a trivial formula.
-        assert!(s.solve_under(&budget).is_unknown());
+        assert!(s.solve_with_under(&[], &budget).is_unknown());
         // A fresh budget resolves it.
-        assert!(s.solve_under(&Budget::unlimited()).is_sat());
+        assert!(s.solve_with_under(&[], &Budget::unlimited()).is_sat());
     }
 
     #[test]
@@ -1822,7 +1748,7 @@ mod tests {
         budget.cancel_token().cancel();
         let mut s = pigeonhole_4_3();
         assert_eq!(
-            s.solve_under(&budget),
+            s.solve_with_under(&[], &budget),
             SolveOutcome::Unknown {
                 conflicts: 0,
                 reason: Reason::Cancelled
@@ -1835,7 +1761,7 @@ mod tests {
         use rsn_budget::Budget;
         let generous = Budget::unlimited().with_work_limit(10_000_000);
         let mut s = pigeonhole_4_3();
-        assert_eq!(s.solve_under(&generous), SolveOutcome::Unsat);
+        assert_eq!(s.solve_with_under(&[], &generous), SolveOutcome::Unsat);
 
         let mut s = Solver::new();
         let a = s.new_var();

@@ -133,9 +133,10 @@ fn extracted_cores_are_valid_and_shrunk_cores_are_minimal() {
         let assumptions: Vec<Lit> = (0..n_assum)
             .map(|_| Lit::with_polarity(Var(rng.below(6) as u32), rng.bool()))
             .collect();
-        let Some(core) = s.solve_with_core(&assumptions) else {
+        if s.solve_with(&assumptions) {
             continue; // satisfiable under these assumptions
-        };
+        }
+        let core = s.core().to_vec();
         unsat_cases += 1;
         assert!(
             core.iter().all(|l| assumptions.contains(l)),
@@ -178,7 +179,8 @@ fn core_shrinking_respects_budget() {
     // x0 ∧ x1 ∧ x2 ∧ x3 assumed, with clause ¬x1 ∨ ¬x2 — core {x1, x2}.
     s.add_clause([Lit::neg(vars[1]), Lit::neg(vars[2])]);
     let assumptions: Vec<Lit> = vars.iter().map(|&v| Lit::pos(v)).collect();
-    let core = s.solve_with_core(&assumptions).expect("unsat");
+    assert!(!s.solve_with(&assumptions), "unsat");
+    let core = s.core().to_vec();
     let exhausted = rsn_budget::Budget::unlimited().with_work_limit(0);
     let _ = exhausted.check(); // trip it
     let (kept, minimal) = s.shrink_core_under(&core, &exhausted);
@@ -275,9 +277,11 @@ fn portfolio_agrees_with_serial_on_parsed_3sat() {
         let mut serial = parsed.to_solver();
         let mut one = serial.clone();
         let mut wide = serial.clone();
-        let serial_out = serial.solve_under(&budget);
-        let one_out = one.solve_portfolio_under(&budget, 1);
-        let wide_out = wide.solve_portfolio_under(&budget, 4);
+        one.set_threads(1);
+        wide.set_threads(4);
+        let serial_out = serial.solve_with_under(&[], &budget);
+        let one_out = one.solve_with_under(&[], &budget);
+        let wide_out = wide.solve_with_under(&[], &budget);
         assert_eq!(serial_out, one_out, "case {case}: 1-thread diverged");
         assert_eq!(
             serial.stats(),

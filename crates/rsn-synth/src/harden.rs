@@ -144,7 +144,7 @@ pub fn apply_mux_hardening(builder: &mut RsnBuilder, chosen: &[NodeId]) {
 mod tests {
     use super::*;
     use rsn_core::examples::{chain, fig2};
-    use rsn_fault::{analyze, analyze_with, WeightModel};
+    use rsn_fault::analyze;
     use rsn_itc02::parse_soc;
     use rsn_sib::generate;
 
@@ -205,8 +205,8 @@ mod tests {
         apply_mux_hardening(&mut b, &plan.chosen);
         let hardened = b.finish().expect("rebuild");
 
-        let before = analyze_with(&rsn, profile, WeightModel::Ports);
-        let after = analyze_with(&hardened, profile, WeightModel::Ports);
+        let before = analyze(&rsn, profile);
+        let after = analyze(&hardened, profile);
         let predicted = plan.chosen_gain() / before.total_weight as f64;
         let actual = after.avg_segments - before.avg_segments;
         assert!(

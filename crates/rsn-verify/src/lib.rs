@@ -41,25 +41,18 @@ pub use explain::{
 use rsn_budget::Budget;
 use rsn_core::Rsn;
 
-/// Which check families [`verify_with`] runs. All are on by default.
-///
-/// Select and mux checks are meaningless on networks whose selects were
-/// never materialized (`SelectMode::Never` leaves constant-true
-/// placeholders); callers synthesizing such networks disable them.
+/// How [`verify_with`] runs. Every check family runs: structural
+/// reachability and shadow-less address sources (`RSN006`–`RSN008`),
+/// multiplexer decode (`RSN003`–`RSN005`), shadow-controllability
+/// (`RSN010`) and cyclic control dependencies (`RSN009`), plus the select
+/// checks unless they are switched off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Per-segment select satisfiability and select/path agreement
-    /// (`RSN001`, `RSN002`).
+    /// (`RSN001`, `RSN002`). Meaningless on networks whose selects were
+    /// never materialized (`SelectMode::Never` leaves constant-true
+    /// placeholders); callers synthesizing such networks switch it off.
     pub select_checks: bool,
-    /// Multiplexer decode checks (`RSN003`, `RSN004`, `RSN005`).
-    pub mux_checks: bool,
-    /// Shadow-controllability of control registers (`RSN010`).
-    pub controllability: bool,
-    /// Reachability and shadow-less address sources (`RSN006`, `RSN007`,
-    /// `RSN008`).
-    pub structural: bool,
-    /// Cyclic control dependencies (`RSN009`).
-    pub control_cycles: bool,
     /// Solver threads for the SAT-backed families: `1` (the default)
     /// keeps every query on the bit-reproducible serial CDCL loop,
     /// larger values route queries through the portfolio solver
@@ -71,10 +64,6 @@ impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             select_checks: true,
-            mux_checks: true,
-            controllability: true,
-            structural: true,
-            control_cycles: true,
             solver_threads: 1,
         }
     }
@@ -96,7 +85,7 @@ pub fn verify(rsn: &Rsn) -> VerifyReport {
     verify_with(rsn, VerifyOptions::default())
 }
 
-/// Verifies `rsn` with the selected check families.
+/// Verifies `rsn` with the given options.
 ///
 /// Builds one CNF model of the network's control logic and active-path
 /// membership, then answers every semantic question with an incremental
@@ -155,90 +144,54 @@ fn verify_impl(
         ..VerifyReport::default()
     };
 
-    if opts.structural {
-        if budget.check().is_ok() {
-            report.checks_run.push("structural");
-            report.diagnostics.extend(checks::structural(rsn));
-        } else {
-            report.incomplete.push("structural");
-        }
+    if budget.check().is_ok() {
+        report.checks_run.push("structural");
+        report.diagnostics.extend(checks::structural(rsn));
+    } else {
+        report.incomplete.push("structural");
     }
 
-    let needs_sat = opts.select_checks || opts.mux_checks || opts.controllability;
-    if needs_sat {
-        // Built lazily so a fully starved run skips the CNF encoding
-        // (unless a resident caller already holds a shared model). The
-        // model is immutable; this run's solver state lives in its own
-        // scratch.
-        let mut owned: Option<NetworkSat> = None;
-        let mut scratch: Option<SatScratch> = None;
-        if opts.select_checks {
-            if budget.check().is_ok() {
-                let sat = match shared {
-                    Some(s) => s,
-                    None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
-                };
-                let scr = scratch.get_or_insert_with(|| {
-                    let mut s = sat.scratch();
-                    s.set_threads(opts.solver_threads);
-                    s
-                });
-                report.checks_run.push("selects");
-                report
-                    .diagnostics
-                    .extend(checks::select_checks(rsn, sat, scr));
-            } else {
-                report.incomplete.push("selects");
-            }
+    // The SAT-backed families share one CNF model, built lazily so a
+    // fully starved run skips the encoding (unless a resident caller
+    // already holds a shared model). The model is immutable; this run's
+    // solver state lives in its own scratch.
+    type SatCheck = fn(&Rsn, &NetworkSat, &mut SatScratch) -> Vec<Diagnostic>;
+    let sat_families: [(&'static str, bool, SatCheck); 3] = [
+        ("selects", opts.select_checks, checks::select_checks),
+        ("muxes", true, checks::mux_checks),
+        ("controllability", true, checks::controllability),
+    ];
+    let mut owned: Option<NetworkSat> = None;
+    let mut scratch: Option<SatScratch> = None;
+    for (family, enabled, check) in sat_families {
+        if !enabled {
+            continue;
         }
-        if opts.mux_checks {
-            if budget.check().is_ok() {
-                let sat = match shared {
-                    Some(s) => s,
-                    None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
-                };
-                let scr = scratch.get_or_insert_with(|| {
-                    let mut s = sat.scratch();
-                    s.set_threads(opts.solver_threads);
-                    s
-                });
-                report.checks_run.push("muxes");
-                report.diagnostics.extend(checks::mux_checks(rsn, sat, scr));
-            } else {
-                report.incomplete.push("muxes");
-            }
+        if budget.check().is_err() {
+            report.incomplete.push(family);
+            continue;
         }
-        if opts.controllability {
-            if budget.check().is_ok() {
-                let sat = match shared {
-                    Some(s) => s,
-                    None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
-                };
-                let scr = scratch.get_or_insert_with(|| {
-                    let mut s = sat.scratch();
-                    s.set_threads(opts.solver_threads);
-                    s
-                });
-                report.checks_run.push("controllability");
-                report
-                    .diagnostics
-                    .extend(checks::controllability(rsn, sat, scr));
-            } else {
-                report.incomplete.push("controllability");
-            }
-        }
-        if let Some(scr) = &scratch {
-            report.sat_queries = scr.queries();
-        }
+        let sat = match shared {
+            Some(s) => s,
+            None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
+        };
+        let scr = scratch.get_or_insert_with(|| {
+            let mut s = sat.scratch();
+            s.set_threads(opts.solver_threads);
+            s
+        });
+        report.checks_run.push(family);
+        report.diagnostics.extend(check(rsn, sat, scr));
+    }
+    if let Some(scr) = &scratch {
+        report.sat_queries = scr.queries();
     }
 
-    if opts.control_cycles {
-        if budget.check().is_ok() {
-            report.checks_run.push("control-cycles");
-            report.diagnostics.extend(checks::control_cycles(rsn));
-        } else {
-            report.incomplete.push("control-cycles");
-        }
+    if budget.check().is_ok() {
+        report.checks_run.push("control-cycles");
+        report.diagnostics.extend(checks::control_cycles(rsn));
+    } else {
+        report.incomplete.push("control-cycles");
     }
 
     rsn_obs::counter_add("lint.runs", 1);
@@ -400,20 +353,13 @@ mod tests {
     #[test]
     fn options_disable_check_families() {
         let rsn = examples::fig2();
-        let report = verify_with(
-            &rsn,
-            VerifyOptions {
-                select_checks: false,
-                mux_checks: false,
-                controllability: false,
-                structural: true,
-                control_cycles: true,
-                solver_threads: 1,
-            },
-        );
-        assert_eq!(report.sat_queries, 0);
+        let report = verify_with(&rsn, VerifyOptions::without_select_checks());
         assert!(!report.checks_run.contains(&"selects"));
         assert!(report.checks_run.contains(&"structural"));
+        assert!(report.checks_run.contains(&"muxes"));
+        let full = verify(&rsn);
+        assert!(full.checks_run.contains(&"selects"));
+        assert!(report.sat_queries < full.sat_queries);
     }
 
     #[test]

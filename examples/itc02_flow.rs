@@ -10,7 +10,7 @@
 use std::env;
 use std::fs;
 
-use ftrsn::fault::{analyze_parallel, HardeningProfile};
+use ftrsn::fault::{analyze, HardeningProfile};
 use ftrsn::itc02::{by_name, parse_soc, Soc};
 use ftrsn::sib::{generate, stats};
 use ftrsn::synth::area::{costs, AreaModel, Overhead};
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         st.sibs, st.leaves, st.top_registers, st.bits, st.levels
     );
 
-    let before = analyze_parallel(&rsn, HardeningProfile::unhardened());
+    let before = analyze(&rsn, HardeningProfile::unhardened());
     println!("original accessibility: {before}");
 
     let result = synthesize(&rsn, &SynthesisOptions::new())?;
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
 
-    let after = analyze_parallel(&result.rsn, HardeningProfile::hardened());
+    let after = analyze(&result.rsn, HardeningProfile::hardened());
     println!("fault-tolerant accessibility: {after}");
 
     let model = AreaModel::default();
