@@ -472,6 +472,7 @@ pub enum Distinguishability {
 ///
 /// ```
 /// use rsn_bmc::{Distinguishability, FaultDistinguisher};
+/// use rsn_budget::Budget;
 /// use rsn_core::examples::fig2;
 /// use rsn_fault::{effect_of, fault_universe, HardeningProfile};
 ///
@@ -481,7 +482,11 @@ pub enum Distinguishability {
 /// let a = effect_of(&rsn, &faults[0], p);
 /// let same = effect_of(&rsn, &faults[0], p);
 /// let mut miter = FaultDistinguisher::new(&rsn, 2, &a, &same);
-/// assert!(!miter.distinguishable(), "a fault cannot be told from itself");
+/// assert_eq!(
+///     miter.distinguishable_under(&Budget::unlimited()),
+///     Distinguishability::Equivalent,
+///     "a fault cannot be told from itself"
+/// );
 /// ```
 #[derive(Debug)]
 pub struct FaultDistinguisher {
@@ -562,20 +567,10 @@ impl FaultDistinguisher {
         self.steps
     }
 
-    /// Decides distinguishability under an unlimited budget.
-    pub fn distinguishable(&mut self) -> bool {
-        match self.distinguishable_under(&Budget::unlimited()) {
-            Distinguishability::Distinguishable => true,
-            Distinguishability::Equivalent => false,
-            Distinguishability::Unknown { .. } => {
-                unreachable!("unlimited budget cannot exhaust")
-            }
-        }
-    }
-
-    /// Like [`FaultDistinguisher::distinguishable`], bounded by a
-    /// [`Budget`] threaded into the SAT solve. The miter stays usable
-    /// after exhaustion and the query can be retried.
+    /// Decides whether some shared stimulus makes the two faults
+    /// observably diverge, bounded by a [`Budget`] threaded into the SAT
+    /// solve. The miter stays usable after exhaustion and the query can
+    /// be retried.
     pub fn distinguishable_under(&mut self, budget: &Budget) -> Distinguishability {
         if self.structurally_distinct {
             return Distinguishability::Distinguishable;

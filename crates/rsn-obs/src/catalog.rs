@@ -41,8 +41,6 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     (Counter, "sat.unknown"),
     (Counter, "sat.pool_imports"),
     (Counter, "sat.pool_exports"),
-    (Counter, "sat.cubes"),
-    (Counter, "sat.probe_units"),
     (Counter, "sat.eliminated_vars"),
     (Counter, "sat.portfolio_winner"),
     (Gauge, "sat.parallel_speedup"),

@@ -10,9 +10,10 @@
 //! * [`CnfBuilder`] — Tseitin encoding of circuits (AND/OR/NOT/XOR/ITE,
 //!   equality, at-most-one) on top of a solver ([`cnf`]).
 //! * DIMACS parsing and emission ([`dimacs`]).
-//! * Parallel solving — a diversified CDCL portfolio with a shared
-//!   learnt-clause ring and cube-and-conquer escalation, reached through
-//!   [`Solver::set_threads`].
+//! * Parallel solving — an escalation ladder for queries a serial burst
+//!   leaves undecided: bounded variable elimination, then a race of
+//!   diversified CDCL workers over a shared learnt-clause ring, reached
+//!   through [`Solver::set_threads`].
 //!
 //! # Example
 //!

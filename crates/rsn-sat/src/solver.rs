@@ -331,9 +331,10 @@ impl Solver {
     /// the parallel portfolio. `1` (the default) keeps the exact serial
     /// CDCL loop — bit-identical verdicts and stats; `n > 1` routes
     /// [`Solver::solve_with_under`] (and therefore `solve_with`, `solve`
-    /// and `shrink_core_under`) through an `n`-worker portfolio of
-    /// diversified CDCL workers sharing short learnt clauses, escalating
-    /// to cube-and-conquer on instances that survive the conflict quota.
+    /// and `shrink_core_under`) through the escalation ladder: a serial
+    /// burst, bounded variable elimination, then a race of
+    /// `min(n, available_parallelism)` diversified CDCL workers sharing
+    /// short learnt clauses (the serial loop when that width is 1).
     /// Values are clamped to at least 1.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
@@ -762,17 +763,14 @@ impl Solver {
         if rsn_fail::eval("sat.solve").is_some() {
             budget.cancel();
         }
-        if self.threads > 1 {
-            return crate::portfolio::solve_portfolio(self, assumptions, budget, self.threads);
-        }
-        self.solve_serial_instrumented(assumptions, budget)
-    }
-
-    fn solve_serial_instrumented(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
         let _trace = rsn_obs::TraceGuard::new("sat_solve");
         let start = std::time::Instant::now();
         let before = self.stats;
-        let result = self.solve_with_inner(assumptions, budget);
+        let result = if self.threads > 1 {
+            crate::portfolio::solve_portfolio(self, assumptions, budget)
+        } else {
+            self.solve_inner_para(assumptions, budget, None)
+        };
         let after = self.stats;
         let conflicts = after.conflicts - before.conflicts;
         rsn_obs::counter_add("sat.solves", 1);
@@ -785,8 +783,7 @@ impl Solver {
         // One budget unit is spent on entry, one per conflict (see above).
         rsn_obs::counter_add("budget.spent{engine=sat}", conflicts + 1);
         if !self.lbd_acc.is_empty() {
-            let lbd = std::mem::replace(&mut self.lbd_acc, rsn_obs::Histogram::new());
-            rsn_obs::hist_merge("sat.learnt_lbd", &lbd);
+            rsn_obs::hist_merge("sat.learnt_lbd", &self.take_lbd_hist());
         }
         match result {
             SolveOutcome::Sat => rsn_obs::counter_add("sat.sat", 1),
@@ -798,10 +795,6 @@ impl Solver {
             }
         }
         result
-    }
-
-    fn solve_with_inner(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveOutcome {
-        self.solve_inner_para(assumptions, budget, None)
     }
 
     /// The CDCL loop. `para` is `None` for the serial path and carries
@@ -876,7 +869,8 @@ impl Solver {
                             reason: Reason::Cancelled,
                         };
                     }
-                    // Quota exceeded: hand the instance to cube-and-conquer.
+                    // Burst quota exceeded: hand the instance to the next
+                    // ladder step.
                     if ctx
                         .quota
                         .is_some_and(|q| self.stats.conflicts - conflicts_at_entry >= q)
@@ -1227,14 +1221,14 @@ impl Solver {
         self.lbd_acc.merge(h);
     }
 
-    /// Overwrites the failed-assumption core (cube-and-conquer unions
-    /// per-cube cores into a whole-query core).
+    /// Overwrites the failed-assumption core (with the core of the
+    /// reduced instance after variable elimination).
     pub(crate) fn set_core_direct(&mut self, core: Vec<Lit>) {
         self.core = core;
     }
 
-    /// Latches the formula as unsatisfiable (set when a cube partition
-    /// refutes every branch of an assumption-free query).
+    /// Latches the formula as unsatisfiable (set when the reduced
+    /// instance of an assumption-free query is refuted).
     pub(crate) fn mark_unsat(&mut self) {
         self.unsat = true;
     }
@@ -1259,138 +1253,6 @@ impl Solver {
             restarts: self.stats.restarts - before.restarts,
             learnts: 0,
         }
-    }
-
-    /// The `k` unassigned variables with the highest VSIDS activity,
-    /// excluding `exclude` (assumption variables) — the cube-and-conquer
-    /// split variables. Call at decision level 0.
-    pub(crate) fn top_active_vars(&self, k: usize, exclude: &[Var]) -> Vec<Var> {
-        let mut vars: Vec<Var> = (0..self.num_vars() as u32)
-            .map(Var)
-            .filter(|v| self.assign[v.index()] == UNDEF && !exclude.contains(v))
-            .collect();
-        vars.sort_by(|a, b| {
-            self.activity[b.index()]
-                .partial_cmp(&self.activity[a.index()])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        vars.truncate(k);
-        vars
-    }
-
-    /// Root-level failed-literal probing over the `max_vars` most active
-    /// unassigned variables. Each candidate `v` is propagated in both
-    /// polarities at a throwaway decision level: a branch that conflicts
-    /// forces the opposite literal at the root, and a literal implied by
-    /// *both* branches is forced too. Discovered units are enqueued at
-    /// level 0 and propagated immediately, so later probes see their
-    /// consequences. Returns the number of root literals fixed; the
-    /// formula may be latched unsatisfiable as a side effect (check
-    /// `is_unsat` / the next solve).
-    ///
-    /// Must be called at decision level 0 with no assumptions in place —
-    /// every unit found is then implied by the formula alone, so failed
-    /// -assumption cores of later solves stay valid. Probing perturbs
-    /// saved phases and is therefore only used on the parallel escalation
-    /// path, never under the `threads == 1` bit-identical contract.
-    pub(crate) fn probe_roots(&mut self, max_vars: usize, budget: &Budget) -> u64 {
-        debug_assert!(self.trail_lim.is_empty(), "probe_roots requires level 0");
-        if self.unsat {
-            return 0;
-        }
-        if self.propagate().is_some() {
-            self.mark_unsat();
-            return 0;
-        }
-        let candidates = self.top_active_vars(max_vars, &[]);
-        let mut mark = vec![false; 2 * self.num_vars()];
-        let mut fixed = 0u64;
-        for v in candidates {
-            if self.assign[v.index()] != UNDEF {
-                continue; // fixed by an earlier probe's propagation
-            }
-            if budget.poll().is_some() {
-                break;
-            }
-            let pos = Lit::pos(v);
-            let pos_implied = self.probe_branch(pos);
-            let neg_implied = self.probe_branch(!pos);
-            match (pos_implied, neg_implied) {
-                (None, None) => {
-                    self.mark_unsat();
-                    return fixed;
-                }
-                (None, Some(_)) => {
-                    // Positive branch failed: ¬v is forced at the root.
-                    fixed += 1;
-                    self.enqueue(!pos, None);
-                    if self.propagate().is_some() {
-                        self.mark_unsat();
-                        return fixed;
-                    }
-                }
-                (Some(_), None) => {
-                    // Negative branch failed: v is forced at the root.
-                    fixed += 1;
-                    self.enqueue(pos, None);
-                    if self.propagate().is_some() {
-                        self.mark_unsat();
-                        return fixed;
-                    }
-                }
-                (Some(ref p), Some(ref n)) => {
-                    // Literals implied under both polarities are implied
-                    // outright (skip the probed decisions themselves —
-                    // their codes never coincide across branches).
-                    for &l in p {
-                        mark[l.code()] = true;
-                    }
-                    for &l in n {
-                        if !mark[l.code()] || self.lit_value(l) != UNDEF {
-                            continue;
-                        }
-                        fixed += 1;
-                        self.enqueue(l, None);
-                        if self.propagate().is_some() {
-                            for &pl in p {
-                                mark[pl.code()] = false;
-                            }
-                            self.mark_unsat();
-                            return fixed;
-                        }
-                    }
-                    for &l in p {
-                        mark[l.code()] = false;
-                    }
-                }
-            }
-        }
-        fixed
-    }
-
-    /// Propagates `l` at a throwaway decision level and unwinds. Returns
-    /// the implied trail slice (including `l`), or `None` on conflict.
-    fn probe_branch(&mut self, l: Lit) -> Option<Vec<Lit>> {
-        if self.lit_value(l) != UNDEF {
-            // Fixed since candidate selection; treat a false literal as a
-            // failed branch and a true one as implying nothing new.
-            return if self.lit_is_false(l) {
-                None
-            } else {
-                Some(Vec::new())
-            };
-        }
-        let lim = self.trail.len();
-        self.trail_lim.push(lim);
-        self.enqueue(l, None);
-        let confl = self.propagate();
-        let implied = if confl.is_none() {
-            Some(self.trail[lim..].to_vec())
-        } else {
-            None
-        };
-        self.backtrack(0);
-        implied
     }
 
     /// `true` once the formula has been latched unsatisfiable (empty
