@@ -62,8 +62,7 @@ use rsn_itc02::by_name;
 use rsn_obs::{json::Json, RunReport};
 use rsn_sib::generate;
 use rsn_synth::{
-    augment_greedy, augment_ilp, augment_ilp_under, AugmentOptions, Dataflow, SolverChoice,
-    SynthesisOptions,
+    augment_greedy, augment_ilp_under, AugmentOptions, Dataflow, SolverChoice, SynthesisOptions,
 };
 
 /// The checkpoint path for a `--json PATH` run: `.json` → `.partial.json`.
@@ -338,7 +337,7 @@ fn run_ablation(names: &[&str]) {
         }
         let opts = AugmentOptions::default();
         let greedy = augment_greedy(&df, &opts);
-        let ilp = augment_ilp(&df, &opts).expect("ilp solves");
+        let ilp = augment_ilp_under(&df, &opts, &Budget::unlimited()).expect("ilp solves");
         let gap = if ilp.cost > 0.0 {
             100.0 * (greedy.cost - ilp.cost) / ilp.cost
         } else {

@@ -10,7 +10,7 @@
 
 use rsn_budget::Budget;
 use rsn_obs::{catalog_lookup, MetricKind};
-use rsn_synth::{augment_ilp, AugmentOptions, Dataflow};
+use rsn_synth::{augment_ilp_under, AugmentOptions, Dataflow};
 
 #[test]
 fn every_emitted_metric_is_catalogued() {
@@ -30,7 +30,7 @@ fn every_emitted_metric_is_catalogued() {
         rsn_sib::generate(&rsn_itc02::by_name("q12710").expect("embedded")).expect("generate");
     let df = Dataflow::extract(&small);
     assert!(df.len() <= 60, "q12710 stays exact-ILP sized");
-    augment_ilp(&df, &AugmentOptions::default()).expect("ilp solves");
+    augment_ilp_under(&df, &AugmentOptions::default(), &Budget::unlimited()).expect("ilp solves");
     // A budget-starved verify exercises the lint + trip paths.
     let starved = Budget::unlimited().with_work_limit(0);
     let _ = rsn_verify::verify_under(&rsn, rsn_verify::VerifyOptions::default(), &starved);

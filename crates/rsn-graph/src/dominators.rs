@@ -100,6 +100,84 @@ fn intersect(idom: &[usize], rpo: &[usize], mut a: usize, mut b: usize) -> usize
     a
 }
 
+/// For every vertex `v`, whether `g` has two internally vertex-disjoint
+/// `s → v` paths: `out[v] == (vertex_independent_paths(g, s, v) >= 2)`.
+/// Linear in vertices plus edges after [`dominators`], where the
+/// max-flow count costs a full flow problem per vertex.
+///
+/// With `k` direct `s → v` edges (parallel copies counted), a vertex
+/// `v ≠ s` reachable from `s` has two such paths iff
+///
+/// * `k ≥ 2` — the direct edges are the paths;
+/// * `k = 1` — some predecessor `p ≠ s` of `v` is reachable without
+///   passing `v`, i.e. `v` does not dominate `p`: the direct edge has no
+///   internal vertex to share with the path through `p`;
+/// * `k = 0` — `idom[v] == s`: by Menger's theorem a single internal
+///   vertex separates `s` from `v` exactly when it dominates `v`.
+///
+/// `out[s]` is `true` and unreachable vertices are `false`. The sink
+/// side (`v → t` paths) is this function on [`DiGraph::reversed`] from
+/// `t`.
+///
+/// # Example
+///
+/// ```
+/// use rsn_graph::{two_independent_paths, DiGraph};
+///
+/// // Diamond 0 -> {1, 2} -> 3 plus the tail 3 -> 4.
+/// let g = DiGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
+/// assert_eq!(two_independent_paths(&g, 0), [true, false, false, true, false]);
+/// assert_eq!(two_independent_paths(&g.reversed(), 4), [false, false, false, false, true]);
+/// ```
+pub fn two_independent_paths(g: &DiGraph, s: usize) -> Vec<bool> {
+    let n = g.len();
+    let idom = dominators(g, s);
+    // Preorder intervals of the dominator tree: `d` dominates `u` iff
+    // `pre[u]` lies in `pre[d] .. pre[d] + size[d]`.
+    let mut children = vec![Vec::new(); n];
+    for v in 0..n {
+        if v != s && idom[v] != usize::MAX {
+            children[idom[v]].push(v);
+        }
+    }
+    let mut pre = vec![0usize; n];
+    let mut order = Vec::with_capacity(n);
+    let mut stack = vec![s];
+    while let Some(u) = stack.pop() {
+        pre[u] = order.len();
+        order.push(u);
+        stack.extend_from_slice(&children[u]);
+    }
+    let mut size = vec![1usize; n];
+    for &u in order.iter().skip(1).rev() {
+        size[idom[u]] += size[u];
+    }
+    let dominates = |d: usize, u: usize| pre[d] <= pre[u] && pre[u] < pre[d] + size[d];
+
+    let mut direct = vec![0usize; n];
+    for &v in g.successors(s) {
+        direct[v] += 1;
+    }
+    (0..n)
+        .map(|v| {
+            if v == s {
+                return true;
+            }
+            if idom[v] == usize::MAX {
+                return false;
+            }
+            match direct[v] {
+                0 => idom[v] == s,
+                1 => g
+                    .predecessors(v)
+                    .iter()
+                    .any(|&p| p != s && idom[p] != usize::MAX && !dominates(v, p)),
+                _ => true,
+            }
+        })
+        .collect()
+}
+
 /// All strict dominators of `v` given an immediate-dominator array
 /// (excluding `v` itself, including the root).
 pub fn dominator_set(idom: &[usize], root: usize, v: usize) -> Vec<usize> {

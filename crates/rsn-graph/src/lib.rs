@@ -14,7 +14,9 @@
 //!   fault-tolerant RSNs (Sec. III-C).
 //! * Dominators ([`dominators()`]) — single-point-of-failure analysis: a
 //!   vertex dominating `s` on every root→s path is a single point of
-//!   failure for accessing `s`.
+//!   failure for accessing `s`. [`two_independent_paths`] turns them into
+//!   the "at least two vertex-independent paths" test for every vertex at
+//!   once, without a max-flow per vertex.
 //!
 //! # Example
 //!
@@ -30,6 +32,6 @@ pub mod dominators;
 pub mod flow;
 pub mod graph;
 
-pub use dominators::{dominators, postdominators};
+pub use dominators::{dominators, postdominators, two_independent_paths};
 pub use flow::{max_flow, vertex_independent_paths, FlowNetwork};
 pub use graph::DiGraph;

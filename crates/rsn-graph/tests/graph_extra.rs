@@ -6,7 +6,7 @@
 //! run exercises the same cases.
 
 use rsn_graph::dominators::dominator_set;
-use rsn_graph::{dominators, max_flow, vertex_independent_paths, DiGraph};
+use rsn_graph::{dominators, max_flow, two_independent_paths, vertex_independent_paths, DiGraph};
 
 struct Rng(u64);
 
@@ -228,4 +228,75 @@ fn dominator_chain_on_long_path() {
     let idom = dominators(&g, 0);
     let doms = dominator_set(&idom, 0, n - 1);
     assert_eq!(doms.len(), n - 1, "every predecessor dominates the tail");
+}
+
+/// Random digraph on 2..=9 vertices: a DAG (edges low → high) or an
+/// arbitrary digraph with cycles and self-loops, plus parallel copies of
+/// some edges.
+fn random_digraph(rng: &mut Rng) -> DiGraph {
+    let n = 2 + rng.below(8) as usize;
+    let acyclic = rng.below(2) == 0;
+    let mut g = DiGraph::new(n);
+    for _ in 0..rng.below(3 * n as u64 + 1) {
+        let a = rng.below(n as u64) as usize;
+        let b = rng.below(n as u64) as usize;
+        if !acyclic || a < b {
+            g.add_edge(a, b);
+            if rng.below(6) == 0 {
+                g.add_edge(a, b);
+            }
+        }
+    }
+    g
+}
+
+#[test]
+fn two_independent_paths_matches_menger() {
+    let mut rng = Rng(0x6aa9_0006);
+    // Coverage: [direct s→v edges 0, 1, ≥2][answer], unreachable count,
+    // self-loops, cyclic graphs.
+    let mut seen = [[0usize; 2]; 3];
+    let (mut unreachable, mut self_loops, mut cyclic) = (0, 0, 0);
+    for _case in 0..2000 {
+        let g = random_digraph(&mut rng);
+        let s = rng.below(g.len() as u64) as usize;
+        let t = rng.below(g.len() as u64) as usize;
+        cyclic += usize::from(!g.is_acyclic());
+        self_loops += usize::from(g.edges().any(|(a, b)| a == b));
+        let from_s = two_independent_paths(&g, s);
+        let to_t = two_independent_paths(&g.reversed(), t);
+        let reach = g.reachable_from(s);
+        for v in 0..g.len() {
+            let paths = vertex_independent_paths(&g, s, v);
+            assert_eq!(
+                from_s[v],
+                paths >= 2,
+                "s={s} v={v} paths={paths} edges {:?}",
+                g.edges().collect::<Vec<_>>()
+            );
+            assert_eq!(
+                to_t[v],
+                vertex_independent_paths(&g, v, t) >= 2,
+                "v={v} t={t} edges {:?}",
+                g.edges().collect::<Vec<_>>()
+            );
+            if v != s {
+                let k = g.successors(s).iter().filter(|&&w| w == v).count();
+                seen[k.min(2)][usize::from(from_s[v])] += 1;
+                unreachable += usize::from(!reach[v]);
+            }
+        }
+    }
+    // Every case of the criterion occurs with both answers, except that
+    // two direct edges always give two paths.
+    for (k, answers) in seen.iter().enumerate() {
+        assert!(
+            answers[1] > 0,
+            "no vertex with {k} direct edges and 2 paths"
+        );
+        if k < 2 {
+            assert!(answers[0] > 0, "no vertex with {k} direct edges, < 2 paths");
+        }
+    }
+    assert!(unreachable > 0 && self_loops > 0 && cyclic > 0);
 }

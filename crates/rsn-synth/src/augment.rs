@@ -15,17 +15,21 @@
 //!
 //! Two solvers compute a minimum-cost augmenting edge set:
 //!
-//! * [`augment_ilp`] — the paper's 0/1 ILP with degree constraints and
-//!   lazily separated acyclicity (subtour-elimination) cuts, solved by
+//! * [`augment_ilp_under`] — the paper's 0/1 ILP with degree constraints
+//!   and lazily separated acyclicity (subtour-elimination) cuts, solved by
 //!   `rsn-ilp`. Exact, used for small and medium instances.
 //! * [`augment_greedy`] — a level-by-level deficit-pairing heuristic that
 //!   runs in near-linear time and is compared against the ILP optimum in
 //!   the ablation bench.
+//!
+//! Both finish with a Menger check of every enforceable vertex, answered
+//! for all vertices at once from the dominator tree
+//! ([`rsn_graph::two_independent_paths`]).
 
 use std::collections::HashSet;
 
 use rsn_budget::Budget;
-use rsn_graph::{dominators, vertex_independent_paths, DiGraph};
+use rsn_graph::{dominators, two_independent_paths, DiGraph};
 use rsn_ilp::{solve_ilp_with_cuts_under, Constraint, ConstraintOp, IlpError, Problem, VarId};
 
 use crate::dataflow::Dataflow;
@@ -36,22 +40,20 @@ pub fn edge_cost(levels: &[usize], alpha: f64, i: usize, j: usize) -> f64 {
     1.0 + alpha * (levels[j].saturating_sub(levels[i])) as f64
 }
 
+/// Candidate in/out edges the ILP considers per vertex (keeps the
+/// variable count tractable; candidates are the cheapest by cost).
+const MAX_CANDIDATES: usize = 8;
+
 /// Options for the augmentation solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AugmentOptions {
     /// Long-line penalty factor in the edge cost.
     pub alpha: f64,
-    /// Candidate in/out edges considered per vertex in the ILP (keeps the
-    /// variable count tractable; candidates are the cheapest by cost).
-    pub max_candidates: usize,
 }
 
 impl Default for AugmentOptions {
     fn default() -> Self {
-        AugmentOptions {
-            alpha: 0.1,
-            max_candidates: 8,
-        }
+        AugmentOptions { alpha: 0.1 }
     }
 }
 
@@ -70,48 +72,50 @@ pub struct Augmentation {
     pub repairs: usize,
 }
 
-/// Vertices for which the indegree-2 constraint is enforceable: at least
-/// two distinct potential predecessors exist.
-fn in_enforceable(df: &Dataflow, v: usize) -> bool {
-    if df.is_root(v) {
-        return false;
+/// The vertices each degree-2 constraint is enforceable for:
+/// `(ins, outs)`. `ins[v]` holds when `v` is no scan-in port and has at
+/// least two distinct potential predecessors (non-sink vertices at its
+/// level or below); `outs[v]` when `v` is no scan-out port and has at
+/// least two distinct potential successors (non-root vertices at its
+/// level or above). Counted once for all vertices, by prefix sums over
+/// the levels.
+fn enforceable(df: &Dataflow) -> (Vec<bool>, Vec<bool>) {
+    let levels = &df.levels;
+    let top = levels.iter().copied().max().unwrap_or(0);
+    // sources[l + 1]: non-sink vertices at level <= l;
+    // targets[l]: non-root vertices at level >= l.
+    let mut sources = vec![0usize; top + 2];
+    let mut targets = vec![0usize; top + 2];
+    for v in 0..df.len() {
+        sources[levels[v] + 1] += usize::from(!df.is_sink(v));
+        targets[levels[v]] += usize::from(!df.is_root(v));
     }
-    let candidates = (0..df.len())
-        .filter(|&u| u != v && !df.is_sink(u) && df.levels[u] <= df.levels[v])
-        .count();
-    candidates >= 2
-}
-
-/// Vertices for which the outdegree-2 constraint is enforceable.
-fn out_enforceable(df: &Dataflow, v: usize) -> bool {
-    if df.is_sink(v) {
-        return false;
+    for l in 1..top + 2 {
+        sources[l] += sources[l - 1];
     }
-    let candidates = (0..df.len())
-        .filter(|&w| w != v && !df.is_root(w) && df.levels[w] >= df.levels[v])
-        .count();
-    candidates >= 2
+    for l in (0..=top).rev() {
+        targets[l] += targets[l + 1];
+    }
+    (0..df.len())
+        .map(|v| {
+            let ins = !df.is_root(v) && sources[levels[v] + 1] - usize::from(!df.is_sink(v)) >= 2;
+            let outs = !df.is_sink(v) && targets[levels[v]] - usize::from(!df.is_root(v)) >= 2;
+            (ins, outs)
+        })
+        .unzip()
 }
 
-/// Exact augmentation via the paper's ILP with lazy acyclicity cuts.
-///
-/// # Errors
-///
-/// Propagates [`IlpError`] from the solver (infeasibility can only occur
-/// on degenerate graphs).
-pub fn augment_ilp(df: &Dataflow, opts: &AugmentOptions) -> Result<Augmentation, IlpError> {
-    augment_ilp_under(df, opts, &Budget::unlimited())
-}
-
-/// Like [`augment_ilp`], bounded by a [`Budget`] shared across all lazy
-/// cut rounds.
+/// Exact augmentation via the paper's ILP with lazy acyclicity cuts,
+/// bounded by a [`Budget`] shared across all lazy cut rounds
+/// ([`Budget::unlimited`] for an unbounded solve).
 ///
 /// # Errors
 ///
 /// [`IlpError::Budget`] when the budget trips before a usable incumbent
-/// exists; other [`IlpError`]s as for [`augment_ilp`]. A returned
-/// augmentation always satisfies every separated acyclicity cut, but may
-/// be suboptimal if the solve finished on an unproven incumbent.
+/// exists; otherwise the solver's [`IlpError`] (infeasibility can only
+/// occur on degenerate graphs). A returned augmentation always satisfies
+/// every separated acyclicity cut, but may be suboptimal if the solve
+/// finished on an unproven incumbent.
 pub fn augment_ilp_under(
     df: &Dataflow,
     opts: &AugmentOptions,
@@ -120,6 +124,7 @@ pub fn augment_ilp_under(
     let n = df.len();
     let levels = &df.levels;
     let existing: HashSet<(usize, usize)> = df.graph.edges().collect();
+    let (in_enforceable, out_enforceable) = enforceable(df);
 
     // Liveness edges: the nearest non-predecessor strict dominator of each
     // vertex (see `pick_source`). These are *required* in the solution —
@@ -128,10 +133,7 @@ pub fn augment_ilp_under(
     // very fault the detour exists to tolerate.
     let idom = dominators(&df.graph, df.root);
     let mut liveness: Vec<(usize, usize)> = Vec::new();
-    for v in 0..n {
-        if !in_enforceable(df, v) {
-            continue;
-        }
+    for v in (0..n).filter(|&v| in_enforceable[v]) {
         let parents = df.graph.predecessors(v);
         let mut cur = v;
         while idom[cur] != usize::MAX && idom[cur] != cur {
@@ -150,7 +152,7 @@ pub fn augment_ilp_under(
         }
     }
 
-    // Candidate edges: per vertex, the cheapest max_candidates in-edges and
+    // Candidate edges: per vertex, the cheapest MAX_CANDIDATES in-edges and
     // out-edges (plus every original edge at cost 0 and the liveness
     // edges).
     let mut candidates: HashSet<(usize, usize)> = existing.clone();
@@ -171,7 +173,7 @@ pub fn augment_ilp_under(
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            for &u in ins.iter().take(opts.max_candidates) {
+            for &u in ins.iter().take(MAX_CANDIDATES) {
                 candidates.insert((u, v));
             }
         }
@@ -190,7 +192,7 @@ pub fn augment_ilp_under(
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            for &w in outs.iter().take(opts.max_candidates) {
+            for &w in outs.iter().take(MAX_CANDIDATES) {
                 candidates.insert((v, w));
             }
         }
@@ -227,7 +229,7 @@ pub fn augment_ilp_under(
     // they form one failure domain. Two *independent* incoming edges
     // therefore require at least one added edge per vertex.
     for v in 0..n {
-        if in_enforceable(df, v) {
+        if in_enforceable[v] {
             let added_terms: Vec<(VarId, f64)> = edges
                 .iter()
                 .enumerate()
@@ -247,7 +249,7 @@ pub fn augment_ilp_under(
                 problem.add_ge(terms, 2.0);
             }
         }
-        if out_enforceable(df, v) {
+        if out_enforceable[v] {
             let terms: Vec<(VarId, f64)> = edges
                 .iter()
                 .enumerate()
@@ -314,7 +316,7 @@ pub fn augment_ilp_under(
         cut_rounds: solution.cut_rounds,
         repairs: 0,
     };
-    repair(df, &mut aug, opts.alpha);
+    repair(df, &in_enforceable, &out_enforceable, &mut aug, opts.alpha);
     Ok(aug)
 }
 
@@ -369,10 +371,11 @@ pub fn augment_greedy(df: &Dataflow, opts: &AugmentOptions) -> Augmentation {
     // domain of its single structural driver) and at least two incoming
     // edges in total.
     let idom = dominators(&df.graph, df.root);
+    let (in_enforceable, out_enforceable) = enforceable(df);
     let mut added_in = vec![0usize; n];
     for level in 0..=max_level {
         for &v in &by_level[level] {
-            if !in_enforceable(df, v) {
+            if !in_enforceable[v] {
                 continue;
             }
             while indeg[v] < 2 || added_in[v] < 1 {
@@ -381,6 +384,7 @@ pub fn augment_greedy(df: &Dataflow, opts: &AugmentOptions) -> Augmentation {
                     &by_level,
                     &pos_in_level,
                     &chosen,
+                    &out_enforceable,
                     &outdeg,
                     &idom,
                     v,
@@ -401,7 +405,7 @@ pub fn augment_greedy(df: &Dataflow, opts: &AugmentOptions) -> Augmentation {
     // Pass 2: satisfy remaining out-deficits with the nearest targets.
     for level in (0..=max_level).rev() {
         for &u in &by_level[level] {
-            if !out_enforceable(df, u) {
+            if !out_enforceable[u] {
                 continue;
             }
             while outdeg[u] < 2 {
@@ -428,7 +432,7 @@ pub fn augment_greedy(df: &Dataflow, opts: &AugmentOptions) -> Augmentation {
         cut_rounds: 0,
         repairs: 0,
     };
-    repair(df, &mut aug, opts.alpha);
+    repair(df, &in_enforceable, &out_enforceable, &mut aug, opts.alpha);
     aug
 }
 
@@ -442,13 +446,15 @@ pub fn augment_greedy(df: &Dataflow, opts: &AugmentOptions) -> Augmentation {
 ///    recoverability from the reset configuration — its routing control
 ///    sits strictly upstream of everything it bypasses, so the network
 ///    heals position by position after a fault.
-/// 2. The nearest lower/same-level vertex, preferring out-deficits.
+/// 2. The nearest lower/same-level vertex, preferring out-deficits
+///    (vertices whose outdegree-2 constraint is enforceable and unmet).
 #[allow(clippy::too_many_arguments)]
 fn pick_source(
     df: &Dataflow,
     by_level: &[Vec<usize>],
     pos_in_level: &[usize],
     chosen: &HashSet<(usize, usize)>,
+    out_enforceable: &[bool],
     outdeg: &[usize],
     idom: &[usize],
     v: usize,
@@ -475,7 +481,7 @@ fn pick_source(
             if chosen.contains(&(u, v)) {
                 continue;
             }
-            if prefer_deficit && !(out_enforceable(df, u) && outdeg[u] < 2) {
+            if prefer_deficit && !(out_enforceable[u] && outdeg[u] < 2) {
                 continue;
             }
             return Some(u);
@@ -486,7 +492,7 @@ fn pick_source(
                 if df.is_sink(u) || chosen.contains(&(u, v)) {
                     continue;
                 }
-                if prefer_deficit && !(out_enforceable(df, u) && outdeg[u] < 2) {
+                if prefer_deficit && !(out_enforceable[u] && outdeg[u] < 2) {
                     continue;
                 }
                 return Some(u);
@@ -529,23 +535,39 @@ fn pick_target(
 /// Verifies the Menger property on the augmented graph and adds direct
 /// root/sink repair edges where it fails (expected: never, per the
 /// degree-2 theorem; kept as an engineering safety net).
-fn repair(df: &Dataflow, aug: &mut Augmentation, alpha: f64) {
-    let mut g = df.graph.clone();
-    for &(i, j) in &aug.added {
-        g.add_edge(i, j);
-    }
+///
+/// Vertices are visited in index order, root side before sink side, and
+/// both path vectors are recounted after every repair edge, so each check
+/// sees the edges added before it.
+fn repair(
+    df: &Dataflow,
+    in_enforceable: &[bool],
+    out_enforceable: &[bool],
+    aug: &mut Augmentation,
+    alpha: f64,
+) {
+    let mut g = augmented_graph(df, aug);
+    let recount = |g: &DiGraph| {
+        (
+            two_independent_paths(g, df.root),
+            two_independent_paths(&g.reversed(), df.sink),
+        )
+    };
+    let (mut from_root, mut to_sink) = recount(&g);
     for v in 0..df.len() {
-        if v != df.root && in_enforceable(df, v) && vertex_independent_paths(&g, df.root, v) < 2 {
+        if v != df.root && in_enforceable[v] && !from_root[v] {
             g.add_edge(df.root, v);
             aug.added.push((df.root, v));
             aug.cost += edge_cost(&df.levels, alpha, df.root, v);
             aug.repairs += 1;
+            (from_root, to_sink) = recount(&g);
         }
-        if v != df.sink && out_enforceable(df, v) && vertex_independent_paths(&g, v, df.sink) < 2 {
+        if v != df.sink && out_enforceable[v] && !to_sink[v] {
             g.add_edge(v, df.sink);
             aug.added.push((v, df.sink));
             aug.cost += edge_cost(&df.levels, alpha, v, df.sink);
             aug.repairs += 1;
+            (from_root, to_sink) = recount(&g);
         }
     }
 }
@@ -563,6 +585,29 @@ pub fn augmented_graph(df: &Dataflow, aug: &Augmentation) -> DiGraph {
 mod tests {
     use super::*;
     use rsn_core::examples::{chain, fig2, sib_tree};
+    use rsn_graph::vertex_independent_paths;
+
+    /// Reference for [`enforceable`]'s `ins`: a scan over all vertices.
+    fn in_enforceable(df: &Dataflow, v: usize) -> bool {
+        if df.is_root(v) {
+            return false;
+        }
+        let candidates = (0..df.len())
+            .filter(|&u| u != v && !df.is_sink(u) && df.levels[u] <= df.levels[v])
+            .count();
+        candidates >= 2
+    }
+
+    /// Reference for [`enforceable`]'s `outs`: a scan over all vertices.
+    fn out_enforceable(df: &Dataflow, v: usize) -> bool {
+        if df.is_sink(v) {
+            return false;
+        }
+        let candidates = (0..df.len())
+            .filter(|&w| w != v && !df.is_root(w) && df.levels[w] >= df.levels[v])
+            .count();
+        candidates >= 2
+    }
 
     fn check_invariants(df: &Dataflow, aug: &Augmentation) {
         let g = augmented_graph(df, aug);
@@ -604,7 +649,8 @@ mod tests {
     #[test]
     fn ilp_augments_fig2() {
         let df = Dataflow::extract(&fig2());
-        let aug = augment_ilp(&df, &AugmentOptions::default()).expect("solvable");
+        let aug = augment_ilp_under(&df, &AugmentOptions::default(), &Budget::unlimited())
+            .expect("solvable");
         check_invariants(&df, &aug);
         assert_eq!(aug.repairs, 0);
         assert!(aug.used_ilp);
@@ -616,7 +662,7 @@ mod tests {
             let df = Dataflow::extract(&rsn);
             let opts = AugmentOptions::default();
             let greedy = augment_greedy(&df, &opts);
-            let ilp = augment_ilp(&df, &opts).expect("solvable");
+            let ilp = augment_ilp_under(&df, &opts, &Budget::unlimited()).expect("solvable");
             check_invariants(&df, &greedy);
             check_invariants(&df, &ilp);
             assert!(
@@ -653,6 +699,78 @@ mod tests {
                         "{}: vertex {v} has no added in-edge",
                         rsn.name()
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn enforceable_matches_the_scan() {
+        for rsn in [
+            fig2(),
+            chain(1, 2),
+            chain(6, 2),
+            sib_tree(1, 3, 3),
+            sib_tree(2, 2, 4),
+        ] {
+            let df = Dataflow::extract(&rsn);
+            let (ins, outs) = enforceable(&df);
+            for v in 0..df.len() {
+                assert_eq!(ins[v], in_enforceable(&df, v), "{}: in {v}", rsn.name());
+                assert_eq!(outs[v], out_enforceable(&df, v), "{}: out {v}", rsn.name());
+            }
+        }
+    }
+
+    /// The repair loop with one max-flow per vertex and side, re-run on
+    /// the growing graph: the reference for [`repair`].
+    fn reference_repair(df: &Dataflow, aug: &mut Augmentation, alpha: f64) {
+        let mut g = augmented_graph(df, aug);
+        for v in 0..df.len() {
+            if v != df.root && in_enforceable(df, v) && vertex_independent_paths(&g, df.root, v) < 2
+            {
+                g.add_edge(df.root, v);
+                aug.added.push((df.root, v));
+                aug.cost += edge_cost(&df.levels, alpha, df.root, v);
+                aug.repairs += 1;
+            }
+            if v != df.sink
+                && out_enforceable(df, v)
+                && vertex_independent_paths(&g, v, df.sink) < 2
+            {
+                g.add_edge(v, df.sink);
+                aug.added.push((v, df.sink));
+                aug.cost += edge_cost(&df.levels, alpha, v, df.sink);
+                aug.repairs += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn repair_completes_an_under_augmented_network() {
+        for rsn in [chain(6, 2), sib_tree(1, 3, 3)] {
+            let df = Dataflow::extract(&rsn);
+            let (ins, outs) = enforceable(&df);
+            let empty = Augmentation {
+                added: vec![],
+                cost: 0.0,
+                used_ilp: false,
+                cut_rounds: 0,
+                repairs: 0,
+            };
+            let mut fast = empty.clone();
+            repair(&df, &ins, &outs, &mut fast, 0.1);
+            let mut reference = empty;
+            reference_repair(&df, &mut reference, 0.1);
+            assert!(fast.repairs > 0, "{}: nothing repaired", rsn.name());
+            assert_eq!(fast, reference, "{}", rsn.name());
+            let g = augmented_graph(&df, &fast);
+            for v in 0..df.len() {
+                if ins[v] {
+                    assert!(vertex_independent_paths(&g, df.root, v) >= 2, "root → {v}");
+                }
+                if outs[v] {
+                    assert!(vertex_independent_paths(&g, v, df.sink) >= 2, "{v} → sink");
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! The pipeline:
 //!
 //! 1. [`Dataflow::extract`] — the RSN dataflow graph (Sec. III-B).
-//! 2. [`augment_ilp`] / [`augment_greedy`] — minimum-cost connectivity
+//! 2. [`augment_ilp_under`] / [`augment_greedy`] — minimum-cost connectivity
 //!    augmentation establishing two vertex-independent paths per segment
 //!    (Sec. III-C, III-D), with lazy subtour-elimination cuts.
 //! 3. [`synthesize`] — final synthesis: multiplexer insertion, select
@@ -35,7 +35,7 @@ pub mod select;
 
 pub use area::{AreaModel, NetworkCosts, Overhead};
 pub use augment::{
-    augment_greedy, augment_ilp, augment_ilp_under, augmented_graph, AugmentOptions, Augmentation,
+    augment_greedy, augment_ilp_under, augmented_graph, AugmentOptions, Augmentation,
 };
 pub use build::{
     synthesize, synthesize_under, SelectMode, SolverChoice, SynthError, SynthesisOptions,

@@ -47,7 +47,8 @@ pub enum ClauseOrigin {
     Overflow(NodeId),
 }
 
-/// The CNF model of one network: variables for every shadow bit and
+/// The CNF model of one network: variables for the control bits (the
+/// shadow bits some select predicate or mux address reads) and every
 /// primary input, plus derived literals for select predicates, mux input
 /// conditions and on-path membership. Immutable once built; queries go
 /// through a [`SatScratch`].
@@ -55,8 +56,10 @@ pub struct NetworkSat {
     /// The encoder and its pristine solver. No query ever touches this
     /// solver — scratches clone it.
     cnf: CnfBuilder,
-    /// One literal per shadow bit (config bit order).
-    bits: Vec<Lit>,
+    /// Per shadow bit (config bit order): its literal if an encoded
+    /// expression reads the bit. No clause mentions any other bit, so
+    /// every value of it extends every model.
+    bits: Vec<Option<Lit>>,
     /// One literal per primary control input.
     inputs: Vec<Lit>,
     /// `onpath[node]`: the node lies on the active path to the primary
@@ -121,7 +124,25 @@ impl NetworkSat {
         // Provenance is always recorded: the per-clause cost is one flat
         // push, and the explanation engine needs the table on demand.
         cnf.record_provenance();
-        let bits: Vec<Lit> = (0..rsn.shadow_bits()).map(|_| cnf.new_lit()).collect();
+        // Only the selects and mux addresses are encoded, so only the bits
+        // they read get a variable: data bits would be decided on every
+        // satisfiable query without ever being constrained.
+        let mut refs = Vec::new();
+        for s in rsn.segments() {
+            let seg = rsn.node(s).as_segment().expect("segment");
+            seg.select.collect_reg_refs(&mut refs);
+        }
+        for m in rsn.muxes() {
+            for e in &rsn.node(m).as_mux().expect("mux").addr_bits {
+                e.collect_reg_refs(&mut refs);
+            }
+        }
+        let mut read = vec![false; rsn.shadow_bits() as usize];
+        for (node, bit) in refs {
+            let off = rsn.shadow_offset(node).expect("validated reference");
+            read[(off + bit) as usize] = true;
+        }
+        let bits: Vec<Option<Lit>> = read.iter().map(|&r| r.then(|| cnf.new_lit())).collect();
         let inputs: Vec<Lit> = (0..rsn.num_inputs()).map(|_| cnf.new_lit()).collect();
 
         let mut me = NetworkSat {
@@ -240,7 +261,7 @@ impl NetworkSat {
             ControlExpr::Const(b) => self.cnf.constant(*b),
             ControlExpr::Reg(node, bit) => {
                 let off = rsn.shadow_offset(*node).expect("validated reference");
-                self.bits[(off + *bit) as usize]
+                self.bits[(off + *bit) as usize].expect("read bits have a literal")
             }
             ControlExpr::Input(i) => self.inputs[i.0 as usize],
             ControlExpr::Not(inner) => !self.expr_lit(rsn, inner),
@@ -300,7 +321,8 @@ impl NetworkSat {
     }
 
     /// Asks whether the formula is satisfiable under `assumptions`; on
-    /// success extracts the witness configuration from the model.
+    /// success extracts the witness configuration from the model. Bits
+    /// without a literal (read by no select or mux address) are 0.
     pub fn witness(
         &self,
         rsn: &Rsn,
@@ -312,8 +334,8 @@ impl NetworkSat {
             return None;
         }
         let mut config = Config::zeroed(self.bits.len(), rsn.num_inputs());
-        for (i, &l) in self.bits.iter().enumerate() {
-            if scratch.solver.lit_value_model(l) == Some(true) {
+        for (i, l) in self.bits.iter().enumerate() {
+            if l.is_some_and(|l| scratch.solver.lit_value_model(l) == Some(true)) {
                 config.set_bit(i, true);
             }
         }
@@ -332,14 +354,15 @@ impl NetworkSat {
         scratch.solver.solve_with(assumptions)
     }
 
-    /// Number of variables in the model (state literals plus Tseitin
-    /// gate outputs).
+    /// Number of variables in the model (control-bit and input literals
+    /// plus Tseitin gate outputs).
     pub fn model_vars(&self) -> usize {
         self.cnf.solver().num_vars()
     }
 
-    /// The shadow-bit literals, in config bit order.
-    pub fn bit_lits(&self) -> &[Lit] {
+    /// Per shadow bit, in config bit order, its literal: `None` for a bit
+    /// no select predicate or mux address reads (it has no variable).
+    pub fn bit_lits(&self) -> &[Option<Lit>] {
         &self.bits
     }
 
@@ -355,5 +378,82 @@ impl NetworkSat {
         self.cnf
             .recorded()
             .map(move |(lits, tag)| (lits, self.origins[tag as usize]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsn_core::examples::sib_tree;
+    use rsn_core::RsnBuilder;
+
+    #[test]
+    fn mux_address_bits_get_a_variable() {
+        // `ctl[0]` steers the mux, but no select predicate reads it.
+        let mut b = RsnBuilder::new("address-only");
+        let ctl = b.add_segment("ctl", 1);
+        let a = b.add_segment("a", 3);
+        let c = b.add_segment("c", 2);
+        b.connect(b.scan_in(), ctl);
+        b.connect(ctl, a);
+        b.connect(ctl, c);
+        let m = b.add_mux("m", vec![a, c], vec![ControlExpr::reg(ctl, 0)]);
+        b.connect(m, b.scan_out());
+        let rsn = b.finish().expect("builds");
+        let off = |n: NodeId| rsn.shadow_offset(n).expect("shadow") as usize;
+
+        let sat = NetworkSat::build(&rsn);
+        assert!(sat.bit_lits()[off(ctl)].is_some());
+        assert!(sat.bit_lits()[off(a)..off(a) + 3]
+            .iter()
+            .all(Option::is_none));
+        assert!(sat.bit_lits()[off(c)..off(c) + 2]
+            .iter()
+            .all(Option::is_none));
+        let mut scratch = sat.scratch();
+        let cfg = sat
+            .witness(&rsn, &mut scratch, &[sat.mux_cond(m, 1)])
+            .expect("input 1 is selectable");
+        assert!(cfg.bit(off(ctl)));
+        assert!(rsn.trace_path(&cfg).expect("traces").contains(c));
+    }
+
+    #[test]
+    fn data_bits_get_no_variable() {
+        // The same SIB tree with 4-bit and 4096-bit instruments: the two
+        // differ only in instrument (data) bits, which no select or mux
+        // address reads.
+        let small = sib_tree(2, 2, 4);
+        let large = sib_tree(2, 2, 4096);
+        assert!(large.shadow_bits() > small.shadow_bits() + 4000);
+        let (small_sat, large_sat) = (NetworkSat::build(&small), NetworkSat::build(&large));
+        assert_eq!(small_sat.model_vars(), large_sat.model_vars());
+
+        let (small_report, large_report) = (crate::verify(&small), crate::verify(&large));
+        assert!(small_report.is_clean(), "{}", small_report.render());
+        assert!(large_report.is_clean(), "{}", large_report.render());
+        assert_eq!(small_report.sat_queries, large_report.sat_queries);
+
+        // A witness routing an instrument onto the scan path leaves every
+        // instrument bit 0 and replays through the simulator.
+        let instruments: Vec<NodeId> = large
+            .segments()
+            .filter(|&s| large.node(s).as_segment().expect("segment").length == 4096)
+            .collect();
+        assert_eq!(instruments.len(), 8);
+        for &leaf in &instruments {
+            let mut scratch = large_sat.scratch();
+            let query = [large_sat.onpath(leaf), large_sat.select(leaf)];
+            let cfg = large_sat
+                .witness(&large, &mut scratch, &query)
+                .expect("every instrument is accessible");
+            for &seg in &instruments {
+                let off = large.shadow_offset(seg).expect("instrument shadow") as usize;
+                assert!((off..off + 4096).all(|i| !cfg.bit(i)), "instrument bit set");
+            }
+            let path = large.trace_path(&cfg).expect("witness traces");
+            assert!(path.contains(leaf), "witness does not route the instrument");
+            assert!(large.select(leaf, &cfg).expect("select evaluates"));
+        }
     }
 }

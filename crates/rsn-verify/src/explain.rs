@@ -574,7 +574,7 @@ fn explain_witness(
         }
         // Generalize the witness: why is ¬finding impossible under it?
         let mut assum = vec![!finding];
-        for &l in sat.bit_lits().iter().chain(sat.input_lits()) {
+        for &l in sat.bit_lits().iter().flatten().chain(sat.input_lits()) {
             match scratch.solver_mut().lit_value_model(l) {
                 Some(true) => assum.push(l),
                 Some(false) => assum.push(!l),
@@ -989,7 +989,11 @@ fn cube_to_fixes(
 ) -> Vec<ControlBitFix> {
     let mut fixes = Vec::new();
     for &l in cube {
-        if let Some(i) = sat.bit_lits().iter().position(|b| b.var() == l.var()) {
+        if let Some(i) = sat
+            .bit_lits()
+            .iter()
+            .position(|b| b.is_some_and(|b| b.var() == l.var()))
+        {
             let (label, register) = match owners.get(i).copied().flatten() {
                 Some((reg, b)) => (format!("{}[{}]", rsn.node(reg).name(), b), Some((reg, b))),
                 None => (format!("bit{i}"), None),
@@ -1086,7 +1090,7 @@ pub fn replay_eliminates(rsn: &Rsn, sat: &NetworkSat, d: &Diagnostic) -> Option<
 /// The model literal a [`ControlBitFix`] pins, at the pinned polarity.
 fn fix_lit(sat: &NetworkSat, f: &ControlBitFix) -> Option<Lit> {
     let base = if let Some(i) = f.bit {
-        *sat.bit_lits().get(i)?
+        sat.bit_lits().get(i).copied()??
     } else if let Some(i) = f.input {
         *sat.input_lits().get(i as usize)?
     } else {

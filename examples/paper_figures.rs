@@ -13,7 +13,8 @@
 
 use ftrsn::core::examples::fig2;
 use ftrsn::synth::select::{derive_selects, select_equation};
-use ftrsn::synth::{augment_ilp, AugmentOptions, Dataflow, SelectMode, SynthesisOptions};
+use ftrsn::budget::Budget;
+use ftrsn::synth::{augment_ilp_under, AugmentOptions, Dataflow, SelectMode, SynthesisOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rsn = fig2();
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let aug = augment_ilp(&df, &opts)?;
+    let aug = augment_ilp_under(&df, &opts, &Budget::unlimited())?;
     println!(
         "minimal augmenting edge set E_A \\ E (ILP, cost {:.2}, {} cut rounds):",
         aug.cost, aug.cut_rounds
