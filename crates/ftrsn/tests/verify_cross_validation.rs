@@ -1,8 +1,9 @@
 //! Cross-validation of the exhaustive SAT-backed verifier (`rsn-verify`)
-//! against the three other oracles in the workspace:
+//! against three other oracles:
 //!
-//! 1. the legacy sampled `Rsn::lint` — the verifier's findings must be a
-//!    superset on every example network and embedded benchmark tried;
+//! 1. a sampling lint that traces every scan-out port in the reset
+//!    configuration and each one-bit flip of it — every select/path
+//!    disagreement it finds must be one the verifier proves;
 //! 2. the cycle-accurate simulator — every SAT-derived witness
 //!    configuration must reproduce its finding through `trace_path`;
 //! 3. `rsn_bmc::verify_select_consistency` — the two independent SAT
@@ -14,7 +15,7 @@
 
 use ftrsn::bmc::verify_select_consistency;
 use ftrsn::core::examples::{chain, fig2, sib_tree};
-use ftrsn::core::{ControlExpr, LintWarning, NodeKind, Rsn, RsnBuilder};
+use ftrsn::core::{Config, ControlExpr, NodeId, NodeKind, Rsn, RsnBuilder};
 use ftrsn::itc02::by_name;
 use ftrsn::sib::generate;
 use ftrsn::synth::{synthesize, SynthesisOptions};
@@ -31,33 +32,6 @@ fn embedded_networks() -> Vec<Rsn> {
         .collect()
 }
 
-/// Same (code, node) finding; the solver's witness need not equal the
-/// sampled one.
-fn same_finding(a: &LintWarning, b: &LintWarning) -> bool {
-    match (a, b) {
-        (
-            LintWarning::SelectPathMismatch { segment: x, .. },
-            LintWarning::SelectPathMismatch { segment: y, .. },
-        ) => x == y,
-        _ => a == b,
-    }
-}
-
-#[test]
-fn verifier_findings_superset_of_sampled_lint_everywhere() {
-    for rsn in example_networks().into_iter().chain(embedded_networks()) {
-        let sampled = rsn.lint(64);
-        let proven = verify(&rsn).to_lint_warnings();
-        for w in &sampled {
-            assert!(
-                proven.iter().any(|p| same_finding(p, w)),
-                "network {}: sampled lint found {w} but the verifier did not",
-                rsn.name()
-            );
-        }
-    }
-}
-
 /// A single-segment network whose select predicate depends on a primary
 /// input while the segment is unconditionally on the scan path: every
 /// configuration with the input low is a select/path mismatch.
@@ -69,6 +43,90 @@ fn mismatched_network() -> (Rsn, ftrsn::core::NodeId) {
     b.connect(b.scan_in(), s);
     b.connect(s, b.scan_out());
     (b.finish().expect("builds"), s)
+}
+
+/// A single-segment network whose select is the constant `false` while
+/// the segment is unconditionally on the scan path: the reset
+/// configuration already disagrees.
+fn never_selected_network() -> (Rsn, NodeId) {
+    let mut b = RsnBuilder::new("never-selected");
+    let s = b.add_segment("s", 2);
+    b.connect(b.scan_in(), s);
+    b.connect(s, b.scan_out());
+    (b.finish().expect("builds"), s)
+}
+
+/// The select/path disagreements a sampling lint finds: it probes the
+/// reset configuration plus each one-bit flip of it, traces every scan-out
+/// port with `trace_path_from` and counts a segment as on the path when
+/// any port's path contains it. Configurations that fail to decode at some
+/// port, and selects that fail to evaluate, are skipped.
+fn sampled_lint_mismatches(rsn: &Rsn) -> Vec<(NodeId, Config)> {
+    let reset = rsn.reset_config();
+    let mut cfgs = vec![reset.clone()];
+    for bit in 0..rsn.shadow_bits() as usize {
+        let mut c = reset.clone();
+        c.set_bit(bit, !c.bit(bit));
+        cfgs.push(c);
+    }
+    let ports: Vec<NodeId> = rsn
+        .node_ids()
+        .filter(|&id| matches!(rsn.node(id).kind(), NodeKind::ScanOut))
+        .collect();
+    let mut out = Vec::new();
+    for cfg in cfgs {
+        let Ok(paths) = ports
+            .iter()
+            .map(|&p| rsn.trace_path_from(p, &cfg))
+            .collect::<Result<Vec<_>, _>>()
+        else {
+            continue;
+        };
+        for seg in rsn.segments() {
+            let Ok(selected) = rsn.select(seg, &cfg) else {
+                continue;
+            };
+            if selected != paths.iter().any(|p| p.contains(seg)) {
+                out.push((seg, cfg.clone()));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn verifier_findings_superset_of_sampled_lint_everywhere() {
+    let mut networks = example_networks();
+    networks.extend(embedded_networks());
+    let (mismatch, mismatch_seg) = mismatched_network();
+    let (never, never_seg) = never_selected_network();
+    networks.push(mismatch);
+    networks.push(never);
+    let mut sampled_segments = Vec::new();
+    for rsn in &networks {
+        let report = verify(rsn);
+        for (seg, cfg) in sampled_lint_mismatches(rsn) {
+            assert!(
+                report
+                    .diagnostics
+                    .iter()
+                    .any(|d| d.code == Code::SelectPathMismatch && d.node == Some(seg)),
+                "network {}: segment {seg} disagrees with path membership under \
+                 sampled configuration {cfg:?}, but the verifier reports no {} on it:\n{}",
+                rsn.name(),
+                Code::SelectPathMismatch.as_str(),
+                report.render()
+            );
+            sampled_segments.push((rsn.name().to_string(), seg));
+        }
+    }
+    // The sampling lint is not vacuous: it catches both broken networks.
+    for (name, seg) in [("mismatch", mismatch_seg), ("never-selected", never_seg)] {
+        assert!(
+            sampled_segments.contains(&(name.to_string(), seg)),
+            "the sampling lint missed the disagreement on {name}"
+        );
+    }
 }
 
 #[test]

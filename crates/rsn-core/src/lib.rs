@@ -50,7 +50,7 @@ pub mod session;
 pub use config::Config;
 pub use error::{Error, Result};
 pub use expr::{CompiledExpr, ControlExpr, InputId};
-pub use lint::{structural_findings, LintWarning, StructuralFindings};
+pub use lint::{structural_findings, StructuralFindings};
 pub use network::{Mux, Node, NodeId, NodeKind, Rsn, RsnBuilder, Segment};
 pub use path::ScanPath;
 pub use retarget::{GroupAccessPlan, LatencyReport};

@@ -1,84 +1,22 @@
-//! Network linting: structural and behavioral diagnostics beyond the
-//! builder's hard validation.
+//! Network linting: structural diagnostics beyond the builder's hard
+//! validation.
 //!
-//! [`Rsn::lint`] collects *warnings* — conditions that do not make a
-//! network invalid but usually indicate a modeling mistake: unreachable
-//! elements, multiplexers that can never switch, segments that can never
-//! be selected, or select predicates that disagree with path membership in
-//! sampled configurations.
-//!
-//! `Rsn::lint` is the legacy sampling-based entry point, kept as a thin
-//! compatibility wrapper: its structural passes live in
-//! [`structural_findings`] so the exhaustive `rsn-verify` engine reuses
-//! them verbatim, and only the select/path probing here is
-//! sample-bounded (`rsn-verify` replaces it with a SAT proof).
+//! [`structural_findings`] collects conditions that do not make a network
+//! invalid but usually indicate a modeling mistake: unreachable elements,
+//! multiplexers whose address is constant, segments that can never be
+//! selected and mux addresses read from shadow-less registers. The passes
+//! evaluate no configuration, so they are exhaustive by construction. The
+//! `rsn-verify` crate reuses them verbatim, maps each field onto a stable
+//! diagnostic code and proves the configuration-dependent properties
+//! (select/path agreement among them) over every configuration via SAT.
 
-use std::fmt;
-
-use crate::config::Config;
 use crate::network::{NodeId, NodeKind, Rsn};
-
-/// A single lint finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum LintWarning {
-    /// The node cannot be reached from any scan-in port.
-    UnreachableFromScanIn(NodeId),
-    /// No scan-out port is reachable from the node.
-    CannotReachScanOut(NodeId),
-    /// The multiplexer's address is constant: one input is dead.
-    MuxNeverSwitches(NodeId),
-    /// The segment's select predicate is constant `false`.
-    NeverSelected(NodeId),
-    /// A sampled configuration had the segment selected while off the
-    /// traced path, or vice versa (validity violation).
-    SelectPathMismatch {
-        /// The offending segment.
-        segment: NodeId,
-        /// A configuration exhibiting the mismatch.
-        config: Config,
-    },
-    /// A mux address references a register with no shadow (never
-    /// controllable).
-    AddressWithoutShadow {
-        /// The multiplexer.
-        mux: NodeId,
-        /// The referenced register node.
-        register: NodeId,
-    },
-}
-
-impl fmt::Display for LintWarning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LintWarning::UnreachableFromScanIn(n) => {
-                write!(f, "node {n} is unreachable from any scan-in port")
-            }
-            LintWarning::CannotReachScanOut(n) => {
-                write!(f, "node {n} cannot reach any scan-out port")
-            }
-            LintWarning::MuxNeverSwitches(n) => {
-                write!(f, "multiplexer {n} has a constant address")
-            }
-            LintWarning::NeverSelected(n) => {
-                write!(f, "segment {n} has a constant-false select")
-            }
-            LintWarning::SelectPathMismatch { segment, .. } => {
-                write!(f, "segment {segment} select disagrees with path membership")
-            }
-            LintWarning::AddressWithoutShadow { mux, register } => {
-                write!(f, "mux {mux} addressed by shadow-less register {register}")
-            }
-        }
-    }
-}
 
 /// Findings of the purely structural lint passes: no configuration is
 /// evaluated, only graph reachability and expression syntax.
 ///
-/// The same passes back both the legacy [`Rsn::lint`] and the exhaustive
-/// `rsn-verify` engine (which upgrades the syntactic constancy checks to
-/// SAT proofs and maps each field onto a stable diagnostic code).
+/// The `rsn-verify` engine upgrades the syntactic constancy checks to SAT
+/// proofs and maps each field onto a stable diagnostic code.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StructuralFindings {
     /// Nodes unreachable from every scan-in port.
@@ -182,99 +120,6 @@ pub fn structural_findings(rsn: &Rsn) -> StructuralFindings {
     out
 }
 
-impl StructuralFindings {
-    /// Renders the findings as legacy [`LintWarning`]s.
-    pub fn to_warnings(&self) -> Vec<LintWarning> {
-        let mut out = Vec::new();
-        let both: Vec<NodeId> = {
-            let mut ids: Vec<NodeId> = self
-                .unreachable
-                .iter()
-                .chain(&self.unobservable)
-                .copied()
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        };
-        for id in both {
-            if self.unreachable.contains(&id) {
-                out.push(LintWarning::UnreachableFromScanIn(id));
-            }
-            if self.unobservable.contains(&id) {
-                out.push(LintWarning::CannotReachScanOut(id));
-            }
-        }
-        for &m in &self.constant_address_muxes {
-            out.push(LintWarning::MuxNeverSwitches(m));
-        }
-        for &(mux, register) in &self.shadowless_addresses {
-            out.push(LintWarning::AddressWithoutShadow { mux, register });
-        }
-        for &seg in &self.never_selected {
-            out.push(LintWarning::NeverSelected(seg));
-        }
-        out
-    }
-}
-
-impl Rsn {
-    /// Lints the network, returning all findings. `samples` bounds the
-    /// number of random-ish configurations probed for select/path
-    /// agreement (deterministic sampling).
-    ///
-    /// This is the legacy compatibility entry point: the structural
-    /// passes are exhaustive ([`structural_findings`]), but select/path
-    /// agreement is only *sampled*. The `rsn-verify` crate proves the
-    /// same properties over every configuration via SAT and should be
-    /// preferred for correctness gating.
-    pub fn lint(&self, samples: usize) -> Vec<LintWarning> {
-        let mut out = structural_findings(self).to_warnings();
-
-        // Sampled validity probing: flip one shadow bit at a time from
-        // reset (plus the reset configuration itself).
-        let mut cfgs = vec![self.reset_config()];
-        for bit in 0..(self.shadow_bits() as usize).min(samples.saturating_sub(1)) {
-            let mut c = self.reset_config();
-            c.set_bit(bit, !c.bit(bit));
-            cfgs.push(c);
-        }
-        // A segment is "on path" when any scan-out port's traced path
-        // contains it — secondary ports observe segments just like the
-        // primary one does.
-        let sinks: Vec<NodeId> = self
-            .node_ids()
-            .filter(|&id| matches!(self.node(id).kind(), NodeKind::ScanOut))
-            .collect();
-        for cfg in cfgs {
-            // Skip configurations that fail to decode somewhere, as the
-            // single-port version always did.
-            let Ok(paths) = sinks
-                .iter()
-                .map(|&p| self.trace_path_from(p, &cfg))
-                .collect::<Result<Vec<_>, _>>()
-            else {
-                continue;
-            };
-            for seg in self.segments() {
-                let selected = match self.select(seg, &cfg) {
-                    Ok(v) => v,
-                    Err(_) => continue,
-                };
-                if selected != paths.iter().any(|p| p.contains(seg)) {
-                    out.push(LintWarning::SelectPathMismatch {
-                        segment: seg,
-                        config: cfg.clone(),
-                    });
-                    break; // one witness per configuration
-                }
-            }
-        }
-
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,9 +129,9 @@ mod tests {
 
     #[test]
     fn clean_networks_lint_clean() {
-        for rsn in [fig2(), chain(3, 2), sib_tree(1, 2, 3)] {
-            let warnings = rsn.lint(32);
-            assert!(warnings.is_empty(), "{}: {warnings:?}", rsn.name());
+        for rsn in [fig2(), chain(3, 2), chain(4, 2), sib_tree(1, 2, 3)] {
+            let findings = structural_findings(&rsn);
+            assert_eq!(findings, StructuralFindings::default(), "{}", rsn.name());
         }
     }
 
@@ -298,14 +143,16 @@ mod tests {
         b.connect(b.scan_in(), s);
         b.connect(s, b.scan_out());
         let rsn = b.finish().expect("valid structure");
-        let warnings = rsn.lint(4);
-        assert!(warnings
-            .iter()
-            .any(|w| matches!(w, LintWarning::NeverSelected(n) if *n == s)));
-        // Also a select/path mismatch at reset (on path but deselected).
-        assert!(warnings
-            .iter()
-            .any(|w| matches!(w, LintWarning::SelectPathMismatch { .. })));
+        let findings = structural_findings(&rsn);
+        assert_eq!(findings.never_selected, vec![s]);
+        // The segment is on the only path, so nothing else is flagged.
+        assert_eq!(
+            findings,
+            StructuralFindings {
+                never_selected: vec![s],
+                ..StructuralFindings::default()
+            }
+        );
     }
 
     #[test]
@@ -320,10 +167,9 @@ mod tests {
         let m = b.add_mux("M", vec![s1, s2], vec![ControlExpr::FALSE]);
         b.connect(m, b.scan_out());
         let rsn = b.finish().expect("valid structure");
-        let warnings = rsn.lint(4);
-        assert!(warnings
-            .iter()
-            .any(|w| matches!(w, LintWarning::MuxNeverSwitches(n) if *n == m)));
+        let findings = structural_findings(&rsn);
+        assert_eq!(findings.constant_address_muxes, vec![m]);
+        assert_eq!(findings.never_selected, vec![s2]);
     }
 
     #[test]
@@ -345,38 +191,9 @@ mod tests {
         match b.finish() {
             Err(_) => {} // expected: invalid control reference
             Ok(rsn) => {
-                let warnings = rsn.lint(4);
-                assert!(warnings
-                    .iter()
-                    .any(|w| matches!(w, LintWarning::AddressWithoutShadow { .. })));
+                let findings = structural_findings(&rsn);
+                assert_eq!(findings.shadowless_addresses, vec![(m, ro)]);
             }
-        }
-    }
-
-    #[test]
-    fn warnings_render() {
-        let w = LintWarning::MuxNeverSwitches(NodeId(3));
-        assert!(!w.to_string().is_empty());
-    }
-
-    #[test]
-    fn structural_findings_match_lint_on_clean_and_broken_networks() {
-        for rsn in [fig2(), chain(4, 2), sib_tree(1, 2, 3)] {
-            let s = structural_findings(&rsn);
-            assert_eq!(s, StructuralFindings::default(), "{}", rsn.name());
-            assert!(s.to_warnings().is_empty());
-        }
-        let mut b = RsnBuilder::new("w");
-        let s = b.add_segment("S", 1);
-        b.connect(b.scan_in(), s);
-        b.connect(s, b.scan_out());
-        let rsn = b.finish().expect("valid structure");
-        let f = structural_findings(&rsn);
-        assert_eq!(f.never_selected, vec![s]);
-        // Every structural warning also appears in the legacy lint.
-        let lint = rsn.lint(4);
-        for w in f.to_warnings() {
-            assert!(lint.contains(&w), "{w}");
         }
     }
 }

@@ -308,8 +308,8 @@ impl EffectKey {
 ///   `clean[s]`, `reach_clean[s]`, and `exit_clean[s]` are then read by
 ///   no verdict and seed no traversal.
 ///
-/// The equivalence property test exercises this against the cold
-/// uncollapsed reference on random networks.
+/// The equivalence property test exercises this against the uncollapsed
+/// HashMap reference on random networks.
 fn fanout1_port_sources(rsn: &Rsn, ctl: &ControlBitIndex) -> HashMap<(NodeId, usize), NodeId> {
     let owners: HashSet<NodeId> = ctl.owners().collect();
     let mut port_uses = vec![0u32; rsn.node_count()];
@@ -516,7 +516,7 @@ mod tests {
     #[test]
     fn property_collapsed_lane_sweep_matches_uncollapsed_cold_reference() {
         use crate::effect::effect_of;
-        use crate::engine::{AccessEngine, Accessibility, LANES};
+        use crate::engine::{reference, AccessEngine, Accessibility, LANES};
         use crate::metric::analyze_classes_on_budget;
         use rsn_budget::Budget;
 
@@ -556,8 +556,8 @@ mod tests {
                     }
                 }
                 // Per fault: the class representative's lane verdict must
-                // equal the fault's own cold-path verdict — the full
-                // Accessibility, not just the fractions.
+                // equal the HashMap reference's verdict on the fault's own
+                // effect — the full Accessibility, not just the fractions.
                 let mut sum_seg = 0.0f64;
                 let mut sum_bits = 0.0f64;
                 let mut weight = 0u64;
@@ -574,14 +574,14 @@ mod tests {
                         }
                         ClassKind::Effect(_) => {
                             let lane = &lane_of[&classes.class_of(i)];
-                            let cold = engine.accessibility_cold(&own, &mut scratch);
+                            let slow = reference::accessibility(&rsn, &own);
                             assert_eq!(
-                                *lane, cold,
+                                *lane, slow,
                                 "round {round}: class rep diverges from member {fault} \
                                  (select_hardened {})",
                                 profile.select_hardened
                             );
-                            (cold.segment_fraction(), cold.bit_fraction())
+                            (slow.segment_fraction(), slow.bit_fraction())
                         }
                     };
                     let w = fault.weight as f64;
@@ -595,7 +595,7 @@ mod tests {
                     worst_bits = worst_bits.min(bits);
                 }
                 // Aggregates of the production sweep must be bit-identical
-                // to this serial cold reference.
+                // to this serial, uncollapsed reference.
                 let report =
                     analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::unlimited());
                 let denom = weight.max(1) as f64;

@@ -37,9 +37,9 @@
 //! per-multiplexer-input fact of the fixed point is a lane word, and the
 //! reachability passes are single sweeps over the dataflow DAG in
 //! topological order, so one pass serves all 64 effects.
-//! [`AccessEngine::accessibility`] is the one-lane call, and
-//! [`AccessEngine::accessibility_cold`] keeps the scalar depth-first
-//! evaluation as the reference twin.
+//! [`AccessEngine::accessibility`] is the one-lane call. The tests check
+//! every lane against a HashMap-based reference that walks the network
+//! itself, so none of the precomputation above is shared with the oracle.
 //!
 //! The free function [`accessibility`] remains as a one-shot convenience
 //! wrapper; any caller evaluating more than one fault should build an
@@ -99,93 +99,11 @@ impl Accessibility {
     }
 }
 
-/// Attainable-value lattice of one control bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BitState {
-    /// The bit can hold 0 in some reachable configuration.
-    can0: bool,
-    /// The bit can hold 1 in some reachable configuration.
-    can1: bool,
-    /// Pinned by the fault (stuck cell): never promoted.
-    pinned: bool,
-}
-
-impl BitState {
-    fn pinned(v: bool) -> Self {
-        BitState {
-            can0: !v,
-            can1: v,
-            pinned: true,
-        }
-    }
-
-    fn known(v: bool) -> Self {
-        BitState {
-            can0: !v,
-            can1: v,
-            pinned: false,
-        }
-    }
-
-    fn both(self) -> Self {
-        BitState {
-            can0: true,
-            can1: true,
-            pinned: self.pinned,
-        }
-    }
-
-    fn with_value(self, v: bool) -> Self {
-        BitState {
-            can0: self.can0 || !v,
-            can1: self.can1 || v,
-            pinned: self.pinned,
-        }
-    }
-
-    fn is_both(self) -> bool {
-        self.can0 && self.can1
-    }
-}
-
-/// Decides whether a compiled expression can be made to evaluate to
-/// `want` given the current control-bit states. Unresolved references are
+/// Decides in every lane at once which values a compiled expression can
+/// be made to evaluate to: bit `l` of element `v` of the result is set
+/// iff it can evaluate to `v` in lane `l`, given control bit `i`'s
+/// `[can0, can1]` lane words in `can[i]`. Unresolved references are
 /// conservatively unsatisfiable; primary inputs are always drivable.
-fn can_set(expr: &CompiledExpr, want: bool, states: &[BitState]) -> bool {
-    match expr {
-        CompiledExpr::Const(b) => *b == want,
-        CompiledExpr::Bit(i) => {
-            let s = states[*i as usize];
-            if want {
-                s.can1
-            } else {
-                s.can0
-            }
-        }
-        CompiledExpr::Input(_) => true,
-        CompiledExpr::Unknown => false,
-        CompiledExpr::Not(e) => can_set(e, !want, states),
-        CompiledExpr::And(es) => {
-            if want {
-                es.iter().all(|e| can_set(e, true, states))
-            } else {
-                es.iter().any(|e| can_set(e, false, states))
-            }
-        }
-        CompiledExpr::Or(es) => {
-            if want {
-                es.iter().any(|e| can_set(e, true, states))
-            } else {
-                es.iter().all(|e| can_set(e, false, states))
-            }
-        }
-    }
-}
-
-/// The lane-word twin of [`can_set`], for both wanted values at once:
-/// bit `l` of element `v` of the result is set iff the expression can be
-/// made to evaluate to `v` in lane `l`. `can[i]` holds control bit `i`'s
-/// `[can0, can1]` lane words.
 fn can_set_lanes(expr: &CompiledExpr, can: &[[u64; 2]]) -> [u64; 2] {
     match expr {
         CompiledExpr::Const(b) => {
@@ -215,16 +133,12 @@ fn can_set_lanes(expr: &CompiledExpr, can: &[[u64; 2]]) -> [u64; 2] {
 
 /// One dataflow edge in the flat CSR adjacency arrays. `other` is the
 /// far endpoint (target for forward edges, source for backward edges);
-/// `slot` is the guarding multiplexer's slot (`u32::MAX` for plain
-/// edges), `k` its input index and `input` the flat index of that
-/// multiplexer input (`u32::MAX` for plain edges). The guarding mux is
-/// the edge's target node in both directions, so its slot is inlined here
-/// to keep the traversal inner loops free of `mux_slot` indirections.
+/// `input` is the flat index of the multiplexer input the edge enters
+/// (`u32::MAX` for plain edges), which indexes the per-input lane words
+/// directly.
 #[derive(Debug, Clone, Copy)]
 struct CsrEdge {
     other: u32,
-    slot: u32,
-    k: u32,
     input: u32,
 }
 
@@ -234,7 +148,6 @@ const NO_MUX: u32 = u32::MAX;
 /// against the engine's dense control-bit index.
 #[derive(Debug, Clone)]
 struct MuxInfo {
-    node: NodeId,
     addr: Vec<CompiledExpr>,
     inputs: u32,
     /// Flat index of input 0; inputs occupy `first_input..first_input +
@@ -244,7 +157,7 @@ struct MuxInfo {
 
 /// Reusable, fault-independent accessibility engine over one network.
 ///
-/// Construction precomputes the dense control-bit index, reset states,
+/// Construction precomputes the dense control-bit index, reset values,
 /// roots/sinks, CSR edge arrays and compiled multiplexer addresses;
 /// [`AccessEngine::accessibility_batch`] then evaluates up to [`LANES`]
 /// [`FaultEffect`]s per pass using caller-owned [`Scratch`] buffers.
@@ -267,8 +180,8 @@ pub struct AccessEngine {
     /// All control bits referenced by any multiplexer address, sorted —
     /// position is the dense index used by `CompiledExpr::Bit`.
     bits: Vec<(NodeId, u32)>,
-    /// Reset-value bootstrap state per dense bit.
-    reset_states: Vec<BitState>,
+    /// Reset value per dense bit: the fixed point's bootstrap.
+    reset_values: Vec<bool>,
     /// Dataflow roots (primary + secondary scan-in).
     roots: Vec<NodeId>,
     /// Dataflow sinks (primary + secondary scan-out).
@@ -311,25 +224,6 @@ pub struct AccessEngine {
 /// `lane_*` words hold one bit per effect of the current batch.
 #[derive(Debug, Clone)]
 pub struct Scratch {
-    /// Attainable-value state per dense control bit (cold path).
-    states: Vec<BitState>,
-    /// Per-node cleanliness under the current fault (cold path).
-    clean: Vec<bool>,
-    reach_clean: Vec<bool>,
-    reach_any: Vec<bool>,
-    /// Backward any-reachability from sinks (the cold fixed point's exit
-    /// set).
-    can_exit: Vec<bool>,
-    /// Backward *clean* reachability from sinks (the cold verdict's exit
-    /// set).
-    exit_clean: Vec<bool>,
-    /// DFS stack shared by the cold traversals.
-    stack: Vec<NodeId>,
-    /// Per-mux configurable-input bitmask for the current cold round (bit
-    /// `k` set ⇔ input `k` selectable; inputs ≥ 64 use the slow path).
-    mux_mask: Vec<u64>,
-    /// Per-address-bit `(can0, can1)` staging used while building masks.
-    addr_can: Vec<(bool, bool)>,
     /// Per node: lanes in which the node is clean.
     lane_clean: Vec<u64>,
     /// Per node: lanes in which the segment loses its instrument access.
@@ -402,14 +296,11 @@ impl AccessEngine {
         bits.dedup();
 
         let reset = rsn.reset_config();
-        let reset_states: Vec<BitState> = bits
+        let reset_values: Vec<bool> = bits
             .iter()
-            .map(|&(node, bit)| {
-                let v = match rsn.shadow_offset(node) {
-                    Some(off) => reset.bit((off + bit) as usize),
-                    None => false,
-                };
-                BitState::known(v)
+            .map(|&(node, bit)| match rsn.shadow_offset(node) {
+                Some(off) => reset.bit((off + bit) as usize),
+                None => false,
             })
             .collect();
 
@@ -425,10 +316,8 @@ impl AccessEngine {
         for id in rsn.node_ids() {
             match rsn.node(id).kind() {
                 NodeKind::Mux(m) => {
-                    let slot = muxes.len() as u32;
-                    mux_slot[id.index()] = slot;
+                    mux_slot[id.index()] = muxes.len() as u32;
                     muxes.push(MuxInfo {
-                        node: id,
                         addr: m
                             .addr_bits
                             .iter()
@@ -440,8 +329,6 @@ impl AccessEngine {
                     for (k, &inp) in m.inputs.iter().enumerate() {
                         let edge = |other: usize| CsrEdge {
                             other: other as u32,
-                            slot,
-                            k: k as u32,
                             input: mux_inputs + k as u32,
                         };
                         fwd[inp.index()].push(edge(id.index()));
@@ -453,8 +340,6 @@ impl AccessEngine {
                     if let Some(src) = rsn.node(id).source() {
                         let edge = |other: usize| CsrEdge {
                             other: other as u32,
-                            slot: NO_MUX,
-                            k: 0,
                             input: NO_MUX,
                         };
                         fwd[src.index()].push(edge(id.index()));
@@ -510,7 +395,7 @@ impl AccessEngine {
         AccessEngine {
             rsn: Arc::clone(&rsn_arc),
             bits,
-            reset_states,
+            reset_values,
             roots,
             sinks,
             is_root,
@@ -563,15 +448,6 @@ impl AccessEngine {
     pub fn scratch(&self) -> Scratch {
         let n = self.rsn.node_count();
         Scratch {
-            states: vec![BitState::known(false); self.bits.len()],
-            clean: vec![true; n],
-            reach_clean: vec![false; n],
-            reach_any: vec![false; n],
-            can_exit: vec![false; n],
-            exit_clean: vec![false; n],
-            stack: Vec::with_capacity(n),
-            mux_mask: vec![0; self.muxes.len()],
-            addr_can: Vec::with_capacity(8),
             lane_clean: vec![0; n],
             lane_loss: vec![0; n],
             lane_reach: vec![[0; 2]; n],
@@ -601,11 +477,12 @@ impl AccessEngine {
     /// The verdicts live in `scratch` until its next evaluation, so a
     /// sweep reuses their buffers instead of allocating per pass.
     ///
-    /// Each lane follows exactly the round-by-round trajectory of
-    /// [`AccessEngine::accessibility_cold`] on its own effect; a batch
-    /// runs until no lane changes, and extra rounds leave an already
-    /// converged lane unchanged, so every verdict equals the one-effect
-    /// evaluation — the property tests enforce it lane for lane.
+    /// Each lane follows exactly the round-by-round trajectory of a
+    /// one-effect evaluation of its own effect; a batch runs until no lane
+    /// changes, and extra rounds leave an already converged lane
+    /// unchanged, so every verdict equals the one-effect evaluation — the
+    /// property tests check it lane for lane against the HashMap
+    /// reference.
     ///
     /// # Panics
     ///
@@ -628,7 +505,6 @@ impl AccessEngine {
         let rounds_run = self.fixed_point_lanes(scratch, live);
         // One batched export per pass keeps registry lock contention out
         // of the per-round hot loop.
-        rsn_obs::counter_add("fault.engine_rounds", rounds_run);
         rsn_obs::hist_record("fault.warm_rounds", rounds_run);
         rsn_obs::debug!(
             "lane fixed point over {} effects converged after {rounds_run} rounds \
@@ -651,16 +527,19 @@ impl AccessEngine {
         s.lane_forced_on.fill(0);
         s.lane_forced.fill(0);
         s.lane_pinned.fill(0);
-        for (can, st) in s.lane_can.iter_mut().zip(&self.reset_states) {
-            *can = if st.can1 { [0, !0] } else { [!0, 0] };
+        for (can, &v) in s.lane_can.iter_mut().zip(&self.reset_values) {
+            *can = if v { [0, !0] } else { [!0, 0] };
         }
         s.lane_stuck = [0; 2];
         for (l, effect) in effects.iter().enumerate() {
             let bit = 1u64 << l;
-            // Same bootstrap as `load_effect`: corrupt nodes are unclean,
-            // fault-pinned bits fixed, all other bits at reset. Sites the
-            // cold path never matches (non-mux input edges, inputs out of
-            // range, unreferenced bits) are ignored here too.
+            // Corrupt nodes are unclean and fault-pinned bits fixed. Bits
+            // of a corrupt register are NOT pinned: they hold the reset
+            // value until the first CSU through the fault, and the
+            // dirty-write rule adds the stuck value. All other bits start
+            // at their reset value. Sites that match nothing in the
+            // network (non-mux input edges, inputs out of range,
+            // unreferenced bits) are ignored.
             for &c in &effect.corrupt_nodes {
                 s.lane_clean[c.index()] &= !bit;
             }
@@ -705,13 +584,20 @@ impl AccessEngine {
         (k < info.inputs as usize).then(|| (info.first_input as usize) + k)
     }
 
-    /// The lane twin of [`AccessEngine::fixed_point`]: every round
-    /// rebuilds all input usability words, runs one forward and one
-    /// backward pass, and applies the same promotion rule to every lane at
-    /// once. Runs until no live lane promotes a bit (capped at
-    /// `2·bits + 1` rounds, like the cold path) and returns the number of
-    /// rounds run. On return `lane_reach` and `lane_conf` match the final
-    /// bit states.
+    /// Runs the control-writability fixed point in every lane at once:
+    /// grow the attainable-value sets from the bootstrap (reset)
+    /// configuration. A bit becomes fully controllable when its owner has
+    /// a *clean* configurable write path; a *dirty* write path (through
+    /// the fault site) still deterministically delivers the fault's stuck
+    /// value, so it adds exactly that value (the adapted transition
+    /// relation of Sec. III-A). Monotone increasing, hence terminating;
+    /// starting pessimistic keeps the verdict sound.
+    ///
+    /// Every round rebuilds all input usability words, runs one forward
+    /// and one backward pass, and applies the promotion rule to every lane
+    /// at once. Runs until no live lane promotes a bit (capped at
+    /// `2·bits + 1` rounds) and returns the number of rounds run. On
+    /// return `lane_reach` and `lane_conf` match the final bit states.
     fn fixed_point_lanes(&self, s: &mut Scratch, live: u64) -> u64 {
         let mut rounds_run = 0u64;
         let mut converged = false;
@@ -732,7 +618,7 @@ impl AccessEngine {
                 // A dirty write delivers the stuck value, which changes an
                 // unpinned bit (still at its reset value) only when the two
                 // differ: then the bit can hold both values.
-                let differs = s.lane_stuck[!self.reset_states[i].can1 as usize];
+                let differs = s.lane_stuck[!self.reset_values[i] as usize];
                 let promote = open & s.lane_exit[ni] & ((s.lane_clean[ni] & rc) | (ra & differs));
                 if promote != 0 {
                     s.lane_can[i] = [c0 | promote, c1 | promote];
@@ -860,295 +746,6 @@ impl AccessEngine {
             }
         }
     }
-
-    /// Rebuilds the per-mux configurable-input masks from the current
-    /// control-bit states (called once per cold fixed-point round —
-    /// states only change *between* traversals).
-    fn refresh_masks(&self, effect: &FaultEffect, scratch: &mut Scratch) {
-        for (slot, info) in self.muxes.iter().enumerate() {
-            if let Some(&forced) = effect.forced_mux.get(&info.node) {
-                scratch.mux_mask[slot] = if forced < 64 { 1u64 << forced } else { 0 };
-                continue;
-            }
-            scratch.addr_can.clear();
-            for e in &info.addr {
-                scratch.addr_can.push((
-                    can_set(e, false, &scratch.states),
-                    can_set(e, true, &scratch.states),
-                ));
-            }
-            let mut mask = 0u64;
-            for k in 0..info.inputs.min(64) {
-                let ok = scratch.addr_can.iter().enumerate().all(|(i, &(c0, c1))| {
-                    if (k >> i) & 1 == 1 {
-                        c1
-                    } else {
-                        c0
-                    }
-                });
-                if ok {
-                    mask |= 1 << k;
-                }
-            }
-            scratch.mux_mask[slot] = mask;
-        }
-    }
-
-    /// `true` if input `k` of the mux in `slot` can be selected under the
-    /// current states (mask fast path; direct evaluation for inputs ≥ 64).
-    fn configurable_slot(
-        &self,
-        effect: &FaultEffect,
-        scratch: &Scratch,
-        slot: u32,
-        k: u32,
-    ) -> bool {
-        if k < 64 {
-            return scratch.mux_mask[slot as usize] & (1 << k) != 0;
-        }
-        let info = &self.muxes[slot as usize];
-        if let Some(&forced) = effect.forced_mux.get(&info.node) {
-            return forced == k as usize;
-        }
-        info.addr.iter().enumerate().all(|(i, e)| {
-            let want = (k >> i) & 1 == 1;
-            can_set(e, want, &scratch.states)
-        })
-    }
-
-    /// Forward depth-first reachability from roots into `reach_clean` or
-    /// `reach_any`. `require_clean` restricts traversal to clean nodes and
-    /// uncorrupted edges.
-    fn forward(&self, effect: &FaultEffect, scratch: &mut Scratch, require_clean: bool) {
-        let mut out = std::mem::take(if require_clean {
-            &mut scratch.reach_clean
-        } else {
-            &mut scratch.reach_any
-        });
-        out.fill(false);
-        let mut stack = std::mem::take(&mut scratch.stack);
-        stack.clear();
-        for &r in &self.roots {
-            if !require_clean || scratch.clean[r.index()] {
-                out[r.index()] = true;
-                stack.push(r);
-            }
-        }
-        while let Some(u) = stack.pop() {
-            let (lo, hi) = (self.fwd_off[u.index()], self.fwd_off[u.index() + 1]);
-            for e in &self.fwd_edges[lo as usize..hi as usize] {
-                let vi = e.other as usize;
-                if out[vi] {
-                    continue;
-                }
-                if require_clean && !scratch.clean[vi] {
-                    continue;
-                }
-                let edge_ok = e.slot == NO_MUX || {
-                    self.configurable_slot(effect, scratch, e.slot, e.k)
-                        && (!require_clean
-                            || !effect
-                                .corrupt_mux_inputs
-                                .contains(&(NodeId(e.other), e.k as usize)))
-                };
-                if edge_ok {
-                    out[vi] = true;
-                    stack.push(NodeId(e.other));
-                }
-            }
-        }
-        scratch.stack = stack;
-        if require_clean {
-            scratch.reach_clean = out;
-        } else {
-            scratch.reach_any = out;
-        }
-    }
-
-    /// Backward depth-first reachability from sinks: the any variant fills
-    /// `scratch.can_exit` (the fixed point's exit set), the clean variant
-    /// fills `scratch.exit_clean` (the final verdict's exit set).
-    fn backward(&self, effect: &FaultEffect, scratch: &mut Scratch, require_clean: bool) {
-        let mut out = std::mem::take(if require_clean {
-            &mut scratch.exit_clean
-        } else {
-            &mut scratch.can_exit
-        });
-        out.fill(false);
-        let mut stack = std::mem::take(&mut scratch.stack);
-        stack.clear();
-        for &s in &self.sinks {
-            if !require_clean || scratch.clean[s.index()] {
-                out[s.index()] = true;
-                stack.push(s);
-            }
-        }
-        while let Some(v) = stack.pop() {
-            let (lo, hi) = (self.bwd_off[v.index()], self.bwd_off[v.index() + 1]);
-            for e in &self.bwd_edges[lo as usize..hi as usize] {
-                let ui = e.other as usize;
-                if out[ui] {
-                    continue;
-                }
-                if require_clean && !scratch.clean[ui] {
-                    continue;
-                }
-                let edge_ok = e.slot == NO_MUX || {
-                    self.configurable_slot(effect, scratch, e.slot, e.k)
-                        && (!require_clean
-                            || !effect.corrupt_mux_inputs.contains(&(v, e.k as usize)))
-                };
-                if edge_ok {
-                    out[ui] = true;
-                    stack.push(NodeId(e.other));
-                }
-            }
-        }
-        scratch.stack = stack;
-        if require_clean {
-            scratch.exit_clean = out;
-        } else {
-            scratch.can_exit = out;
-        }
-    }
-
-    /// Loads the per-fault bootstrap into `scratch` (cleanliness and
-    /// initial control-bit states).
-    fn load_effect(&self, effect: &FaultEffect, scratch: &mut Scratch) {
-        scratch.clean.fill(true);
-        for &c in &effect.corrupt_nodes {
-            scratch.clean[c.index()] = false;
-        }
-        // Fault-pinned bits are fixed; bits of a corrupt register are NOT
-        // pinned: they hold the reset value until the first CSU through
-        // the fault, and the dirty-growth rule adds the stuck value. All
-        // other bits start at their reset value and are promoted to
-        // fully-controllable once their owner is proven writable.
-        scratch.states.copy_from_slice(&self.reset_states);
-        for (&(node, bit), &v) in &effect.forced_bits {
-            if let Ok(i) = self.bits.binary_search(&(node, bit)) {
-                scratch.states[i] = BitState::pinned(v);
-            }
-        }
-    }
-
-    /// Runs the control-writability fixed point: grow the attainable-value
-    /// sets from the bootstrap (reset) configuration. A bit becomes fully
-    /// controllable when its owner has a *clean* configurable write path;
-    /// a *dirty* write path (through the fault site) still
-    /// deterministically delivers the fault's stuck value, so it adds
-    /// exactly that value (the adapted transition relation of Sec. III-A).
-    /// Monotone increasing, hence terminating; starting pessimistic keeps
-    /// the verdict sound. Returns the number of rounds run.
-    fn fixed_point(&self, effect: &FaultEffect, scratch: &mut Scratch) -> u64 {
-        let mut rounds_run = 0u64;
-        for _ in 0..=2 * self.bits.len() {
-            rounds_run += 1;
-            self.refresh_masks(effect, scratch);
-            self.forward(effect, scratch, true);
-            self.forward(effect, scratch, false);
-            self.backward(effect, scratch, false);
-            let mut changed = false;
-            for (i, &(node, _)) in self.bits.iter().enumerate() {
-                let cur = scratch.states[i];
-                if cur.pinned || cur.is_both() {
-                    continue;
-                }
-                let mut next = cur;
-                let ni = node.index();
-                if scratch.clean[ni] && scratch.reach_clean[ni] && scratch.can_exit[ni] {
-                    next = next.both();
-                } else if let Some(stuck) = effect.stuck {
-                    if scratch.reach_any[ni] && scratch.can_exit[ni] {
-                        next = next.with_value(stuck);
-                    }
-                }
-                if next != cur {
-                    scratch.states[i] = next;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        rounds_run
-    }
-
-    /// The scalar whole-network evaluation of one effect: full mask
-    /// refresh and three depth-first traversals per round. Reference
-    /// semantics for the lane evaluator's equivalence tests.
-    pub fn accessibility_cold(&self, effect: &FaultEffect, scratch: &mut Scratch) -> Accessibility {
-        self.load_effect(effect, scratch);
-        let rounds_run = self.fixed_point(effect, scratch);
-        rsn_obs::counter_add("fault.engine_rounds", rounds_run);
-        rsn_obs::debug!(
-            "fixed point converged after {rounds_run} rounds over {} control bits",
-            self.bits.len()
-        );
-
-        self.refresh_masks(effect, scratch);
-        self.forward(effect, scratch, true);
-        self.backward(effect, scratch, true);
-        self.verdict(effect, scratch)
-    }
-
-    /// Final per-segment verdict from the converged cold scratch sets.
-    fn verdict(&self, effect: &FaultEffect, scratch: &Scratch) -> Accessibility {
-        let n = self.rsn.node_count();
-        let mut accessible = vec![false; n];
-        let mut accessible_segments = 0usize;
-        let mut accessible_bits = 0u64;
-        for &(seg, len) in &self.segments {
-            let si = seg.index();
-            let ok = scratch.clean[si]
-                && !effect.local_loss.contains(&seg)
-                && scratch.reach_clean[si]
-                && scratch.exit_clean[si];
-            if ok {
-                accessible[si] = true;
-                accessible_segments += 1;
-                accessible_bits += len;
-            }
-        }
-
-        Accessibility {
-            accessible,
-            accessible_segments,
-            total_segments: self.segments.len(),
-            accessible_bits,
-            total_bits: self.total_bits,
-        }
-    }
-
-    /// Diagnostic snapshot of the engine's internal sets for one fault
-    /// effect after the fixed point: clean-reachability/clean-exit flags
-    /// per node and the list of fully-controllable control bits. Intended
-    /// for debugging and tests.
-    pub fn internals(
-        &self,
-        effect: &FaultEffect,
-        scratch: &mut Scratch,
-    ) -> (Vec<bool>, Vec<bool>, Vec<(NodeId, u32)>) {
-        self.load_effect(effect, scratch);
-        let rounds_run = self.fixed_point(effect, scratch);
-        rsn_obs::counter_add("fault.engine_rounds", rounds_run);
-        self.refresh_masks(effect, scratch);
-        self.forward(effect, scratch, true);
-        self.backward(effect, scratch, true);
-        let free: Vec<(NodeId, u32)> = self
-            .bits
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| scratch.states[i].is_both())
-            .map(|(_, &b)| b)
-            .collect();
-        (
-            scratch.reach_clean.clone(),
-            scratch.exit_clean.clone(),
-            free,
-        )
-    }
 }
 
 /// Computes per-segment accessibility under a fault effect.
@@ -1176,15 +773,67 @@ pub fn accessibility(rsn: &Rsn, effect: &FaultEffect) -> Accessibility {
 }
 
 /// The original HashMap-based accessibility computation, kept verbatim as
-/// a slow reference oracle for the equivalence property tests.
+/// the slow oracle of every lane-equivalence test in the crate. It walks
+/// the network through [`Rsn`] alone, with scalar depth-first traversals
+/// and uncompiled address expressions, so it shares none of the engine's
+/// precomputation (dense bit index, CSR arrays, compiled expressions).
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use std::collections::HashMap;
 
     use rsn_core::{Config, ControlExpr, NodeId, NodeKind, Rsn};
 
-    use super::{Accessibility, BitState};
+    use super::Accessibility;
     use crate::effect::FaultEffect;
+
+    /// Attainable-value lattice of one control bit.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct BitState {
+        /// The bit can hold 0 in some reachable configuration.
+        can0: bool,
+        /// The bit can hold 1 in some reachable configuration.
+        can1: bool,
+        /// Pinned by the fault (stuck cell): never promoted.
+        pinned: bool,
+    }
+
+    impl BitState {
+        fn pinned(v: bool) -> Self {
+            BitState {
+                can0: !v,
+                can1: v,
+                pinned: true,
+            }
+        }
+
+        fn known(v: bool) -> Self {
+            BitState {
+                can0: !v,
+                can1: v,
+                pinned: false,
+            }
+        }
+
+        fn both(self) -> Self {
+            BitState {
+                can0: true,
+                can1: true,
+                pinned: self.pinned,
+            }
+        }
+
+        fn with_value(self, v: bool) -> Self {
+            BitState {
+                can0: self.can0 || !v,
+                can1: self.can1 || v,
+                pinned: self.pinned,
+            }
+        }
+
+        fn is_both(self) -> bool {
+            self.can0 && self.can1
+        }
+    }
 
     fn can_set(expr: &ControlExpr, want: bool, states: &HashMap<(NodeId, u32), BitState>) -> bool {
         match expr {
@@ -1342,7 +991,7 @@ mod reference {
     }
 
     /// The pre-engine `accessibility` implementation, verbatim.
-    pub fn accessibility(rsn: &Rsn, effect: &FaultEffect) -> Accessibility {
+    pub(crate) fn accessibility(rsn: &Rsn, effect: &FaultEffect) -> Accessibility {
         let n = rsn.node_count();
         let mut clean = vec![true; n];
         for &c in &effect.corrupt_nodes {
@@ -1670,17 +1319,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn internals_report_free_bits_in_fault_free_network() {
-        let rsn = fig2();
-        let engine = AccessEngine::new(&rsn);
-        let (reach, exit, free) = engine.internals(&FaultEffect::benign(), &mut engine.scratch());
-        let a = rsn.find("A").expect("A");
-        assert!(reach[a.index()] && exit[a.index()]);
-        // A[0] is the only control bit and becomes fully controllable.
-        assert_eq!(free, vec![(a, 0)]);
-    }
-
     /// Deterministic splitmix64 generator for reproducible random cases.
     struct Rng(u64);
 
@@ -1742,18 +1380,10 @@ mod tests {
         }
     }
 
-    /// Checks the engine against its reference twins on `rsn`:
-    ///
-    /// * every single-fault effect (both profiles) and a sample of
-    ///   `combine_effects` double faults, one lane at a time, against
-    ///   `accessibility_cold` and the HashMap reference;
-    /// * batches of 1, 63 and 64 effects that cycle through every effect
-    ///   kind the network has, lane for lane against `accessibility_cold`.
-    fn assert_engine_matches_reference(rsn: &Rsn, label: &str) {
-        let engine = AccessEngine::new(rsn);
-        let mut scratch = engine.scratch();
-        let mut cold_scratch = engine.scratch();
-        let mut rng = Rng(0x1a4e_5eed ^ rsn.node_count() as u64);
+    /// Every effect kind of `rsn` in its own pool, with labels: each
+    /// single-fault effect under both profiles, plus a sample of
+    /// `combine_effects` double faults.
+    fn effect_pools(rsn: &Rsn, rng: &mut Rng) -> (Vec<Vec<FaultEffect>>, Vec<Vec<String>>) {
         let mut pool: Vec<Vec<FaultEffect>> = vec![Vec::new(); KINDS.len()];
         let mut labels: Vec<Vec<String>> = vec![Vec::new(); KINDS.len()];
         for profile in [HardeningProfile::unhardened(), HardeningProfile::hardened()] {
@@ -1774,18 +1404,34 @@ mod tests {
             pool[6].push(crate::multi::combine_effects(a, b));
             labels[6].push(format!("double fault {a:?} + {b:?}"));
         }
+        (pool, labels)
+    }
 
+    /// Checks the engine against the HashMap reference on `rsn`:
+    ///
+    /// * every single-fault effect (both profiles) and a sample of
+    ///   `combine_effects` double faults, one lane at a time;
+    /// * batches of 1, 63 and 64 effects that cycle through every effect
+    ///   kind the network has, lane for lane.
+    fn assert_engine_matches_reference(rsn: &Rsn, label: &str) {
+        let engine = AccessEngine::new(rsn);
+        let mut scratch = engine.scratch();
+        let mut rng = Rng(0x1a4e_5eed ^ rsn.node_count() as u64);
+        let (pool, labels) = effect_pools(rsn, &mut rng);
+
+        let mut expected: Vec<Vec<Accessibility>> = Vec::with_capacity(pool.len());
         for (kind, effects) in pool.iter().enumerate() {
+            let mut slow_of_kind = Vec::with_capacity(effects.len());
             for (effect, what) in effects.iter().zip(&labels[kind]) {
                 let lane = engine.accessibility(effect, &mut scratch);
-                let cold = engine.accessibility_cold(effect, &mut cold_scratch);
                 let slow = reference::accessibility(rsn, effect);
-                assert_eq!(lane, cold, "{label}: lane/cold mismatch under {what}");
                 assert_eq!(
                     lane, slow,
                     "{label}: engine/reference mismatch under {what}"
                 );
+                slow_of_kind.push(slow);
             }
+            expected.push(slow_of_kind);
         }
 
         let kinds: Vec<usize> = (0..KINDS.len()).filter(|&k| !pool[k].is_empty()).collect();
@@ -1801,12 +1447,67 @@ mod tests {
                 let lanes = engine.accessibility_batch(&batch, &mut scratch);
                 assert_eq!(lanes.len(), size);
                 for (l, (&(kind, i), lane)) in picks.iter().zip(lanes).enumerate() {
-                    let cold = engine.accessibility_cold(&pool[kind][i], &mut cold_scratch);
                     assert_eq!(
-                        *lane, cold,
+                        *lane, expected[kind][i],
                         "{label}: lane {l} of a {size}-effect batch ({}) diverges from \
-                         the cold path under {}",
+                         the reference under {}",
                         KINDS[kind], labels[kind][i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_is_reusable_across_shrinking_batches() {
+        // One scratch runs a 64-effect batch, then a 1-effect batch, then a
+        // 63-effect batch: lane words and verdict buffers left by a wider
+        // batch must not leak into a narrower one. Lossy and benign
+        // effects alternate with a shifted phase, so every lane of the
+        // narrower batches holds something other than its predecessor.
+        let mut rng = Rng(0x5c2a_7c4b);
+        for (rsn, label) in [
+            (sib_tree(2, 2, 3), "sib_tree(2,2,3)"),
+            (wide_mux_fixture(), "70-input mux fixture"),
+            (
+                rsn_synth_like_fixture(&fig2()),
+                "fig2 double-branch fixture",
+            ),
+            (random_sib_rsn(&mut rng), "random SIB network"),
+        ] {
+            let engine = AccessEngine::new(&rsn);
+            let mut scratch = engine.scratch();
+            let (pool, _) = effect_pools(&rsn, &mut rng);
+            let lossy: Vec<&FaultEffect> = pool
+                .iter()
+                .flatten()
+                .filter(|e| {
+                    let r = reference::accessibility(&rsn, e);
+                    r.accessible_segments < r.total_segments
+                })
+                .collect();
+            assert!(!lossy.is_empty(), "{label}: no effect loses a segment");
+            let benign = FaultEffect::benign();
+            let batch = |size: usize, phase: usize| -> Vec<&FaultEffect> {
+                (0..size)
+                    .map(|l| {
+                        if (l + phase).is_multiple_of(2) {
+                            lossy[(l + phase) % lossy.len()]
+                        } else {
+                            &benign
+                        }
+                    })
+                    .collect()
+            };
+            for (size, phase) in [(LANES, 0), (1, 1), (LANES - 1, 1)] {
+                let effects = batch(size, phase);
+                let lanes = engine.accessibility_batch(&effects, &mut scratch);
+                assert_eq!(lanes.len(), size, "{label}");
+                for (l, (effect, lane)) in effects.iter().zip(lanes).enumerate() {
+                    assert_eq!(
+                        *lane,
+                        reference::accessibility(&rsn, effect),
+                        "{label}: lane {l} of a {size}-effect batch after a wider one"
                     );
                 }
             }

@@ -76,9 +76,8 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     // rsn-fault: access engine, collapsing, work-stealing sweep.
     // `fault.steal_batches`, `fault.class_eval_ns` and `fault.warm_rounds`
     // count per claimed chunk of up to 64 classes (one bit-parallel pass
-    // each), not per class; `fault.engine_rounds` sums the rounds of every
-    // pass.
-    (Counter, "fault.engine_rounds"),
+    // each), not per class; the `fault.warm_rounds` sum is the total of
+    // fixed-point rounds over every pass.
     (Counter, "fault.faults_simulated"),
     (Counter, "fault.classes_evaluated"),
     (Counter, "fault.quarantined"),

@@ -1104,10 +1104,23 @@ impl Solver {
     /// surviving member was proven necessary (dropping it alone makes
     /// the query satisfiable) — a minimal unsatisfiable subset.
     ///
+    /// `hard` is a prefix of assumptions asserted in every trial but never
+    /// minimized: its literals are dropped from `core` and from every
+    /// refined core, so the result names only the soft members needed on
+    /// top of it. Pass `&[]` to minimize the whole core.
+    ///
     /// On budget exhaustion the current (still valid, unminimized) core
     /// is returned with `false`; the routine never hangs.
-    pub fn shrink_core_under(&mut self, core: &[Lit], budget: &Budget) -> (Vec<Lit>, bool) {
-        let mut cur: Vec<Lit> = core.to_vec();
+    pub fn shrink_core_under(
+        &mut self,
+        hard: &[Lit],
+        core: &[Lit],
+        budget: &Budget,
+    ) -> (Vec<Lit>, bool) {
+        let soft = |lits: &[Lit]| -> Vec<Lit> {
+            lits.iter().copied().filter(|l| !hard.contains(l)).collect()
+        };
+        let mut cur = soft(core);
         // Every literal is tested exactly once; refinement may delete
         // queued literals early, in which case they are skipped.
         let mut queue: Vec<Lit> = cur.clone();
@@ -1118,13 +1131,17 @@ impl Solver {
             if budget.check().is_err() {
                 return (cur, false);
             }
-            let trial: Vec<Lit> = cur.iter().copied().filter(|&l| l != cand).collect();
+            let trial: Vec<Lit> = hard
+                .iter()
+                .copied()
+                .chain(cur.iter().copied().filter(|&l| l != cand))
+                .collect();
             match self.solve_with_under(&trial, budget) {
                 SolveOutcome::Unsat => {
                     // cand is redundant; adopt the refined core (a subset
                     // of `trial`, so necessity of already-kept members is
                     // preserved by monotonicity).
-                    cur = self.core.clone();
+                    cur = soft(&self.core);
                 }
                 SolveOutcome::Sat => {} // cand is necessary, keep it
                 SolveOutcome::Unknown { .. } => return (cur, false),

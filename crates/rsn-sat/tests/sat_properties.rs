@@ -146,7 +146,7 @@ fn extracted_cores_are_valid_and_shrunk_cores_are_minimal() {
             !s.solve_with(&core),
             "core {core:?} does not reproduce unsatisfiability ({clauses:?})"
         );
-        let (shrunk, minimal) = s.shrink_core_under(&core, &budget);
+        let (shrunk, minimal) = s.shrink_core_under(&[], &core, &budget);
         assert!(minimal, "unlimited budget must finish the pass");
         assert!(
             !s.solve_with(&shrunk),
@@ -183,15 +183,47 @@ fn core_shrinking_respects_budget() {
     let core = s.core().to_vec();
     let exhausted = rsn_budget::Budget::unlimited().with_work_limit(0);
     let _ = exhausted.check(); // trip it
-    let (kept, minimal) = s.shrink_core_under(&core, &exhausted);
+    let (kept, minimal) = s.shrink_core_under(&[], &core, &exhausted);
     assert_eq!(kept, core, "exhausted budget must return the input core");
     assert!(!minimal);
     // With a real budget the core shrinks to exactly {x1, x2}.
-    let (shrunk, minimal) = s.shrink_core_under(&core, &rsn_budget::Budget::unlimited());
+    let (shrunk, minimal) = s.shrink_core_under(&[], &core, &rsn_budget::Budget::unlimited());
     assert!(minimal);
     let mut got = shrunk.clone();
     got.sort_unstable();
     assert_eq!(got, vec![Lit::pos(vars[1]), Lit::pos(vars[2])]);
+}
+
+#[test]
+fn core_shrinking_keeps_the_hard_prefix() {
+    // x0 ∧ x1 ∧ x2 ∧ x3 assumed, with clause ¬x0 ∨ ¬x1 ∨ ¬x2. With x0 as
+    // the hard prefix every trial keeps x0 asserted, so the soft core is
+    // exactly {x1, x2} and never names x0 itself.
+    let mut s = Solver::new();
+    let vars: Vec<Var> = (0..4).map(|_| s.new_var()).collect();
+    s.add_clause([Lit::neg(vars[0]), Lit::neg(vars[1]), Lit::neg(vars[2])]);
+    let assumptions: Vec<Lit> = vars.iter().map(|&v| Lit::pos(v)).collect();
+    assert!(!s.solve_with(&assumptions), "unsat");
+    let core = s.core().to_vec();
+    assert!(
+        core.contains(&Lit::pos(vars[0])),
+        "x0 takes part in the core"
+    );
+    let hard = [Lit::pos(vars[0])];
+    let unlimited = rsn_budget::Budget::unlimited();
+    let (shrunk, minimal) = s.shrink_core_under(&hard, &core, &unlimited);
+    assert!(minimal);
+    let mut got = shrunk.clone();
+    got.sort_unstable();
+    assert_eq!(got, vec![Lit::pos(vars[1]), Lit::pos(vars[2])]);
+    // The soft core is a core only on top of the prefix.
+    assert!(s.solve_with(&shrunk));
+    let with_hard: Vec<Lit> = hard.iter().chain(&shrunk).copied().collect();
+    assert!(!s.solve_with(&with_hard));
+    // Without a prefix the whole core is minimized, x0 included.
+    let (all, minimal) = s.shrink_core_under(&[], &core, &unlimited);
+    assert!(minimal);
+    assert_eq!(all.len(), 3);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use rsn_core::{Config, LintWarning, NodeId, Rsn};
+use rsn_core::{Config, NodeId, Rsn};
 use rsn_obs::json::Json;
 
 use crate::explain::Explanation;
@@ -347,41 +347,6 @@ impl VerifyReport {
             Json::Arr(self.diagnostics.iter().map(Diagnostic::to_json).collect()),
         );
         obj
-    }
-
-    /// Maps the diagnostics onto the legacy [`LintWarning`] vocabulary
-    /// (findings without a legacy equivalent are dropped).
-    pub fn to_lint_warnings(&self) -> Vec<LintWarning> {
-        let mut out = Vec::new();
-        for d in &self.diagnostics {
-            let Some(node) = d.node else { continue };
-            match d.code {
-                Code::SelectPathMismatch => {
-                    if let Some(config) = d.witness.clone() {
-                        out.push(LintWarning::SelectPathMismatch {
-                            segment: node,
-                            config,
-                        });
-                    }
-                }
-                Code::NeverSelected => out.push(LintWarning::NeverSelected(node)),
-                Code::MuxNeverSwitches => out.push(LintWarning::MuxNeverSwitches(node)),
-                Code::AddressWithoutShadow => {
-                    if let Some(&register) = d.related.first() {
-                        out.push(LintWarning::AddressWithoutShadow {
-                            mux: node,
-                            register,
-                        });
-                    }
-                }
-                Code::UnreachableFromScanIn => {
-                    out.push(LintWarning::UnreachableFromScanIn(node));
-                }
-                Code::CannotReachScanOut => out.push(LintWarning::CannotReachScanOut(node)),
-                _ => {}
-            }
-        }
-        out
     }
 }
 

@@ -394,45 +394,8 @@ impl GuardedModel {
             SolveOutcome::Unsat => {
                 // Deletion-minimize over the soft guards only, keeping
                 // the hard prefix asserted in every trial.
-                let mut cur: Vec<Lit> = self
-                    .solver
-                    .core()
-                    .iter()
-                    .copied()
-                    .filter(|l| soft.contains(l))
-                    .collect();
-                let mut queue: Vec<Lit> = cur.clone();
-                let mut minimal = true;
-                while let Some(cand) = queue.pop() {
-                    if !cur.contains(&cand) {
-                        continue;
-                    }
-                    if budget.check().is_err() {
-                        minimal = false;
-                        break;
-                    }
-                    let trial: Vec<Lit> = hard
-                        .iter()
-                        .copied()
-                        .chain(cur.iter().copied().filter(|&l| l != cand))
-                        .collect();
-                    match self.solver.solve_with_under(&trial, budget) {
-                        SolveOutcome::Unsat => {
-                            cur = self
-                                .solver
-                                .core()
-                                .iter()
-                                .copied()
-                                .filter(|l| soft.contains(l))
-                                .collect();
-                        }
-                        SolveOutcome::Sat => {}
-                        SolveOutcome::Unknown { .. } => {
-                            minimal = false;
-                            break;
-                        }
-                    }
-                }
+                let core = self.solver.core().to_vec();
+                let (cur, minimal) = self.solver.shrink_core_under(&hard, &core, budget);
                 let groups: Vec<ClauseOrigin> = cur
                     .iter()
                     .filter_map(|l| self.by_code.get(&l.code()).map(|&i| self.guards[i].0))
@@ -586,7 +549,7 @@ fn explain_witness(
             break; // budget ran out mid-generalization
         }
         let core = scratch.solver_mut().core().to_vec();
-        let (core, minimal) = scratch.solver_mut().shrink_core_under(&core, budget);
+        let (core, minimal) = scratch.solver_mut().shrink_core_under(&[], &core, budget);
         minimized &= minimal;
         let cube: Vec<Lit> = core.into_iter().filter(|&l| l != !finding).collect();
         if cube.is_empty() {
