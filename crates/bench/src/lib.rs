@@ -55,26 +55,10 @@ pub struct Row {
     pub degraded: bool,
 }
 
-/// Runs the full pipeline for one embedded benchmark with default
-/// synthesis options, port weights and no budget.
-///
-/// # Panics
-///
-/// Panics if `name` is not one of the embedded benchmarks or any pipeline
-/// stage fails (the embedded suite is expected to succeed end to end).
-pub fn evaluate(name: &str) -> Row {
-    evaluate_budgeted(
-        name,
-        &SynthesisOptions::new(),
-        WeightModel::Ports,
-        &Budget::unlimited(),
-    )
-}
-
-/// Full pipeline with explicit synthesis options and fault-class weight
-/// model (experiment T1-weights: sensitivity of the averages to cell- vs
-/// port-level weighting), bounded by a per-row [`Budget`] shared by every
-/// stage.
+/// Runs the full pipeline for one embedded benchmark with explicit
+/// synthesis options and fault-class weight model (experiment
+/// T1-weights: sensitivity of the averages to cell- vs port-level
+/// weighting), bounded by a per-row [`Budget`] shared by every stage.
 ///
 /// Degradation is fail-soft: a starved metric sweep keeps its evaluated
 /// prefix and sets [`Row::timed_out`]; a starved augmentation ILP falls
@@ -82,7 +66,9 @@ pub fn evaluate(name: &str) -> Row {
 ///
 /// # Panics
 ///
-/// See [`evaluate`]; budget exhaustion never panics.
+/// Panics if `name` is not one of the embedded benchmarks or any pipeline
+/// stage fails (the embedded suite is expected to succeed end to end);
+/// budget exhaustion never panics.
 pub fn evaluate_budgeted(
     name: &str,
     opts: &SynthesisOptions,
@@ -431,7 +417,12 @@ mod tests {
 
     #[test]
     fn evaluate_small_benchmark_end_to_end() {
-        let row = evaluate("q12710");
+        let row = evaluate_budgeted(
+            "q12710",
+            &SynthesisOptions::new(),
+            WeightModel::Ports,
+            &Budget::unlimited(),
+        );
         assert_eq!(row.mux, 25);
         assert_eq!(row.segments, 46);
         // Paper shape: SIB worst is total disconnection, FT much better.
@@ -443,7 +434,12 @@ mod tests {
 
     #[test]
     fn format_row_contains_name() {
-        let row = evaluate("q12710");
+        let row = evaluate_budgeted(
+            "q12710",
+            &SynthesisOptions::new(),
+            WeightModel::Ports,
+            &Budget::unlimited(),
+        );
         let s = format_row(&row);
         assert!(s.starts_with("q12710"));
     }
@@ -467,7 +463,6 @@ mod tests {
 
     #[test]
     fn unlimited_budget_row_matches_unbudgeted() {
-        let plain = evaluate("q12710");
         let budgeted = evaluate_budgeted(
             "q12710",
             &SynthesisOptions::new(),
@@ -475,8 +470,17 @@ mod tests {
             &Budget::unlimited(),
         );
         assert!(!budgeted.timed_out && !budgeted.degraded);
-        assert_eq!(plain.sib, budgeted.sib);
-        assert_eq!(plain.ft, budgeted.ft);
-        assert_eq!(plain.synthesis.report, budgeted.synthesis.report);
+        // Each stage of the row equals the unbudgeted engine it wraps.
+        let rsn = generate(&by_name("q12710").expect("embedded")).expect("generate");
+        let synthesis = rsn_synth::synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
+        assert_eq!(
+            budgeted.sib,
+            rsn_fault::analyze(&rsn, HardeningProfile::unhardened())
+        );
+        assert_eq!(
+            budgeted.ft,
+            rsn_fault::analyze(&synthesis.rsn, HardeningProfile::hardened())
+        );
+        assert_eq!(budgeted.synthesis.report, synthesis.report);
     }
 }

@@ -9,8 +9,9 @@
 //! registry sees exactly this pipeline.
 
 use rsn_budget::Budget;
+use rsn_fault::WeightModel;
 use rsn_obs::{catalog_lookup, MetricKind};
-use rsn_synth::{augment_ilp_under, AugmentOptions, Dataflow};
+use rsn_synth::{augment_ilp_under, AugmentOptions, Dataflow, SynthesisOptions};
 
 #[test]
 fn every_emitted_metric_is_catalogued() {
@@ -19,7 +20,12 @@ fn every_emitted_metric_is_catalogued() {
     // The same probes as a `table1 --json`/`--trace` row on u226: the
     // full pipeline (synthesis, both fault sweeps, area), the BMC spot
     // check (SAT) and an exact-ILP reference on a small dataflow.
-    let row = bench::evaluate("u226");
+    let row = bench::evaluate_budgeted(
+        "u226",
+        &SynthesisOptions::new(),
+        WeightModel::Ports,
+        &Budget::unlimited(),
+    );
     assert!(row.ft.fault_count > 0);
     let soc = rsn_itc02::by_name("u226").expect("embedded");
     let rsn = rsn_sib::generate(&soc).expect("generate");
@@ -33,7 +39,12 @@ fn every_emitted_metric_is_catalogued() {
     augment_ilp_under(&df, &AugmentOptions::default(), &Budget::unlimited()).expect("ilp solves");
     // A budget-starved verify exercises the lint + trip paths.
     let starved = Budget::unlimited().with_work_limit(0);
-    let _ = rsn_verify::verify_under(&rsn, rsn_verify::VerifyOptions::default(), &starved);
+    let _ = rsn_verify::verify_on(
+        &rsn,
+        &rsn_verify::NetworkSat::build(&rsn),
+        rsn_verify::VerifyOptions::default(),
+        &starved,
+    );
     // An explained verify of a failing network exercises the root-cause
     // engine (verify.core_size / verify.explain_ns / verify.cone_nodes).
     let failing = {

@@ -3,7 +3,8 @@
 //! DESIGN.md): for small networks and the exhaustive fault universe, both
 //! engines must agree on every (fault, segment) verdict.
 
-use ftrsn::bmc::bmc_accessibility;
+use ftrsn::bmc::{bmc_accessibility, Verdict};
+use ftrsn::budget::Budget;
 use ftrsn::core::examples::{chain, fig2, sib_tree};
 use ftrsn::core::Rsn;
 use ftrsn::fault::{accessibility, effect_of, fault_universe, HardeningProfile};
@@ -72,7 +73,13 @@ fn bmc_finds_no_access_below_required_depth() {
         .find(|&s| rsn.node(s).name().ends_with(".seg"))
         .expect("leaf");
     let mut shallow = ftrsn::bmc::BmcChecker::new(&rsn, 1);
-    assert!(!shallow.accessible(leaf));
+    assert_eq!(
+        shallow.accessible_under(leaf, &Budget::unlimited()),
+        Verdict::Inaccessible
+    );
     let mut deep = ftrsn::bmc::BmcChecker::new(&rsn, 2);
-    assert!(deep.accessible(leaf));
+    assert_eq!(
+        deep.accessible_under(leaf, &Budget::unlimited()),
+        Verdict::Accessible
+    );
 }

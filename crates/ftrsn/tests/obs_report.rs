@@ -3,7 +3,8 @@
 //! telemetry. Kept as a single test in its own binary so the process-global
 //! registry sees exactly this pipeline.
 
-use ftrsn::bmc::BmcChecker;
+use ftrsn::bmc::{BmcChecker, Verdict};
+use ftrsn::budget::Budget;
 use ftrsn::core::examples::fig2;
 use ftrsn::fault::{analyze, HardeningProfile};
 use ftrsn::obs::{self, json, RunReport};
@@ -23,7 +24,12 @@ fn fixed_pipeline_report_contains_solver_and_phase_telemetry() {
 
     let mut checker = BmcChecker::new(&rsn, 2);
     for seg in rsn.segments() {
-        assert!(checker.accessible(seg), "{}", rsn.node(seg).name());
+        assert_eq!(
+            checker.accessible_under(seg, &Budget::unlimited()),
+            Verdict::Accessible,
+            "{}",
+            rsn.node(seg).name()
+        );
     }
     let metric = analyze(&rsn, HardeningProfile::unhardened());
     assert!(metric.fault_count > 0);

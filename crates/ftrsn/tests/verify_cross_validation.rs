@@ -19,7 +19,7 @@ use ftrsn::core::{Config, ControlExpr, NodeId, NodeKind, Rsn, RsnBuilder};
 use ftrsn::itc02::by_name;
 use ftrsn::sib::generate;
 use ftrsn::synth::{synthesize, SynthesisOptions};
-use ftrsn::verify::{verify, Code, Severity};
+use ftrsn::verify::{verify_with, Code, Severity, VerifyOptions};
 
 fn example_networks() -> Vec<Rsn> {
     vec![fig2(), chain(4, 8), sib_tree(2, 2, 4)]
@@ -104,7 +104,7 @@ fn verifier_findings_superset_of_sampled_lint_everywhere() {
     networks.push(never);
     let mut sampled_segments = Vec::new();
     for rsn in &networks {
-        let report = verify(rsn);
+        let report = verify_with(rsn, VerifyOptions::default());
         for (seg, cfg) in sampled_lint_mismatches(rsn) {
             assert!(
                 report
@@ -132,7 +132,7 @@ fn verifier_findings_superset_of_sampled_lint_everywhere() {
 #[test]
 fn witnesses_replay_through_the_simulator() {
     let (rsn, seg) = mismatched_network();
-    let report = verify(&rsn);
+    let report = verify_with(&rsn, VerifyOptions::default());
     let finding = report
         .diagnostics
         .iter()
@@ -166,7 +166,7 @@ fn agrees_with_bmc_select_consistency_on_single_port_networks() {
             continue; // BMC's encoding terminates at the primary port only.
         }
         let bmc = verify_select_consistency(rsn);
-        let sat = verify(rsn);
+        let sat = verify_with(rsn, VerifyOptions::default());
         let sat_mismatch = sat
             .diagnostics
             .iter()

@@ -27,13 +27,14 @@
 //! # Example
 //!
 //! ```
-//! use rsn_bmc::BmcChecker;
+//! use rsn_bmc::{BmcChecker, Verdict};
+//! use rsn_budget::Budget;
 //! use rsn_core::examples::fig2;
 //!
 //! let rsn = fig2();
 //! let mut checker = BmcChecker::new(&rsn, 2);
 //! let c = rsn.find("C").expect("segment C");
-//! assert!(checker.accessible(c));
+//! assert_eq!(checker.accessible_under(c, &Budget::unlimited()), Verdict::Accessible);
 //! ```
 
 pub mod selects;
@@ -389,17 +390,9 @@ impl BmcChecker {
 
     /// Decides accessibility of `target`: is there a sequence of `steps`
     /// valid CSU transitions after which the target lies on the active
-    /// scan path and the path is clean end to end?
-    pub fn accessible(&mut self, target: NodeId) -> bool {
-        match self.accessible_under(target, &Budget::unlimited()) {
-            Verdict::Accessible => true,
-            Verdict::Inaccessible => false,
-            Verdict::Unknown { .. } => unreachable!("unlimited budget cannot exhaust"),
-        }
-    }
-
-    /// Like [`BmcChecker::accessible`], bounded by a [`Budget`] threaded
-    /// into the underlying SAT solve (one work unit per conflict).
+    /// scan path and the path is clean end to end? The [`Budget`] is
+    /// threaded into the underlying SAT solve (one work unit per
+    /// conflict).
     ///
     /// Exhaustion yields [`Verdict::Unknown`] carrying the unroll bound
     /// at which the query was left undecided; the checker stays usable
@@ -648,7 +641,10 @@ impl ExprCtx<'_> {
 /// [`rsn_fault::accessibility`] for cross-validation.
 pub fn bmc_accessibility(rsn: &Rsn, effect: &FaultEffect, steps: usize) -> Vec<(NodeId, bool)> {
     let mut checker = BmcChecker::with_fault(rsn, steps, effect);
-    rsn.segments().map(|s| (s, checker.accessible(s))).collect()
+    let unlimited = Budget::unlimited();
+    rsn.segments()
+        .map(|s| (s, checker.accessible_under(s, &unlimited).is_accessible()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -662,7 +658,12 @@ mod tests {
         let rsn = fig2();
         let mut checker = BmcChecker::new(&rsn, 2);
         for s in rsn.segments() {
-            assert!(checker.accessible(s), "{}", rsn.node(s).name());
+            assert_eq!(
+                checker.accessible_under(s, &Budget::unlimited()),
+                Verdict::Accessible,
+                "{}",
+                rsn.node(s).name()
+            );
         }
     }
 
@@ -672,8 +673,16 @@ mod tests {
         let mut checker = BmcChecker::new(&rsn, 0);
         let b = rsn.find("B").expect("B");
         let c = rsn.find("C").expect("C");
-        assert!(checker.accessible(b), "B is on the reset path");
-        assert!(!checker.accessible(c), "C needs one CSU");
+        assert_eq!(
+            checker.accessible_under(b, &Budget::unlimited()),
+            Verdict::Accessible,
+            "B is on the reset path"
+        );
+        assert_eq!(
+            checker.accessible_under(c, &Budget::unlimited()),
+            Verdict::Inaccessible,
+            "C needs one CSU"
+        );
     }
 
     #[test]
@@ -681,7 +690,10 @@ mod tests {
         let rsn = fig2();
         let mut checker = BmcChecker::new(&rsn, 1);
         let c = rsn.find("C").expect("C");
-        assert!(checker.accessible(c));
+        assert_eq!(
+            checker.accessible_under(c, &Budget::unlimited()),
+            Verdict::Accessible
+        );
     }
 
     #[test]
@@ -692,9 +704,16 @@ mod tests {
             .find(|&s| rsn.node(s).name().ends_with(".seg"))
             .expect("leaf");
         let mut shallow = BmcChecker::new(&rsn, 1);
-        assert!(!shallow.accessible(leaf), "needs 2 CSUs");
+        assert_eq!(
+            shallow.accessible_under(leaf, &Budget::unlimited()),
+            Verdict::Inaccessible,
+            "needs 2 CSUs"
+        );
         let mut deep = BmcChecker::new(&rsn, 2);
-        assert!(deep.accessible(leaf));
+        assert_eq!(
+            deep.accessible_under(leaf, &Budget::unlimited()),
+            Verdict::Accessible
+        );
     }
 
     #[test]
@@ -709,7 +728,11 @@ mod tests {
         let effect = effect_of(&rsn, f, HardeningProfile::unhardened());
         let mut checker = BmcChecker::with_fault(&rsn, 2, &effect);
         for s in rsn.segments() {
-            assert!(!checker.accessible(s), "single chain: all lost");
+            assert_eq!(
+                checker.accessible_under(s, &Budget::unlimited()),
+                Verdict::Inaccessible,
+                "single chain: all lost"
+            );
         }
     }
 
@@ -724,10 +747,17 @@ mod tests {
             .expect("exists");
         let effect = effect_of(&rsn, f, HardeningProfile::unhardened());
         let mut checker = BmcChecker::with_fault(&rsn, 2, &effect);
-        assert!(!checker.accessible(b));
+        assert_eq!(
+            checker.accessible_under(b, &Budget::unlimited()),
+            Verdict::Inaccessible
+        );
         for name in ["A", "C", "D"] {
             let id = rsn.find(name).expect("exists");
-            assert!(checker.accessible(id), "{name}");
+            assert_eq!(
+                checker.accessible_under(id, &Budget::unlimited()),
+                Verdict::Accessible,
+                "{name}"
+            );
         }
     }
 
@@ -785,11 +815,8 @@ mod tests {
         let mut budgeted = BmcChecker::new(&rsn, 2);
         let mut plain = BmcChecker::new(&rsn, 2);
         for s in rsn.segments() {
-            let expect = if plain.accessible(s) {
-                Verdict::Accessible
-            } else {
-                Verdict::Inaccessible
-            };
+            let expect = plain.accessible_under(s, &Budget::unlimited());
+            assert!(!expect.is_unknown());
             assert_eq!(budgeted.accessible_under(s, &generous), expect);
         }
     }
@@ -801,8 +828,14 @@ mod tests {
         let mut effect = FaultEffect::benign();
         effect.local_loss.push(b);
         let mut checker = BmcChecker::with_fault(&rsn, 2, &effect);
-        assert!(!checker.accessible(b));
+        assert_eq!(
+            checker.accessible_under(b, &Budget::unlimited()),
+            Verdict::Inaccessible
+        );
         let a = rsn.find("A").expect("A");
-        assert!(checker.accessible(a));
+        assert_eq!(
+            checker.accessible_under(a, &Budget::unlimited()),
+            Verdict::Accessible
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! Additional BMC coverage: incremental querying, deeper hierarchies,
 //! forced-subtree semantics, and agreement with the fault-free planner.
 
-use rsn_bmc::{bmc_accessibility, BmcChecker};
+use rsn_bmc::{bmc_accessibility, BmcChecker, Verdict};
+use rsn_budget::Budget;
 use rsn_core::examples::{chain, fig2, sib_tree};
 use rsn_fault::{effect_of, fault_universe, FaultEffect, FaultSite, HardeningProfile};
 use rsn_itc02::parse_soc;
@@ -12,10 +13,20 @@ fn incremental_queries_reuse_one_checker() {
     let rsn = sib_tree(1, 3, 2);
     let mut checker = BmcChecker::new(&rsn, 2);
     // Query every segment twice; verdicts must be stable.
-    let first: Vec<bool> = rsn.segments().map(|s| checker.accessible(s)).collect();
-    let second: Vec<bool> = rsn.segments().map(|s| checker.accessible(s)).collect();
+    let unlimited = Budget::unlimited();
+    let first: Vec<Verdict> = rsn
+        .segments()
+        .map(|s| checker.accessible_under(s, &unlimited))
+        .collect();
+    let second: Vec<Verdict> = rsn
+        .segments()
+        .map(|s| checker.accessible_under(s, &unlimited))
+        .collect();
     assert_eq!(first, second);
-    assert!(first.iter().all(|&b| b), "fault-free: all accessible");
+    assert!(
+        first.iter().all(|&v| v == Verdict::Accessible),
+        "fault-free: all accessible"
+    );
 }
 
 #[test]
@@ -28,14 +39,20 @@ fn bmc_matches_greedy_planner_depths() {
         let needed = plan.csu_count();
         if needed > 0 {
             let mut shallow = BmcChecker::new(&rsn, needed - 1);
-            assert!(
-                !shallow.accessible(seg),
+            assert_eq!(
+                shallow.accessible_under(seg, &Budget::unlimited()),
+                Verdict::Inaccessible,
                 "{} accessible below plan depth {needed}",
                 rsn.node(seg).name()
             );
         }
         let mut exact = BmcChecker::new(&rsn, needed);
-        assert!(exact.accessible(seg), "{}", rsn.node(seg).name());
+        assert_eq!(
+            exact.accessible_under(seg, &Budget::unlimited()),
+            Verdict::Accessible,
+            "{}",
+            rsn.node(seg).name()
+        );
     }
 }
 

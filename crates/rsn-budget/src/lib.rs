@@ -15,7 +15,7 @@
 //!
 //! [`Budget::check`] is cheap enough for inner loops: a few relaxed
 //! atomic operations, with the clock consulted only on the first check
-//! and then every [`clock_stride`](Budget::with_clock_stride)-th check.
+//! and then once every 64 work units.
 //! Exhaustion **latches**: once a budget has tripped, every subsequent
 //! `check` fails with the same [`Reason`], so a pipeline of engines
 //! sharing one budget degrades as a unit.
@@ -104,11 +104,15 @@ fn decode(raw: u8) -> Option<Reason> {
     }
 }
 
+/// Work units between two wall-clock reads of a budget with a deadline
+/// (the clock is always read on the first check, so a zero deadline
+/// trips deterministically).
+const CLOCK_STRIDE: u64 = 64;
+
 #[derive(Debug)]
 struct Inner {
     deadline: Option<Instant>,
     work_limit: u64,
-    clock_stride: u64,
     work: AtomicU64,
     cancelled: AtomicBool,
     tripped: AtomicU8,
@@ -138,7 +142,6 @@ impl Budget {
             inner: Arc::new(Inner {
                 deadline: None,
                 work_limit: u64::MAX,
-                clock_stride: 64,
                 work: AtomicU64::new(0),
                 cancelled: AtomicBool::new(false),
                 tripped: AtomicU8::new(LIVE),
@@ -161,21 +164,12 @@ impl Budget {
         self.rebuild(|inner| inner.work_limit = limit)
     }
 
-    /// Consults the wall clock every `stride`-th work unit instead of
-    /// the default 64 (the clock is always read on the first check, so a
-    /// zero deadline trips deterministically).
-    #[must_use]
-    pub fn with_clock_stride(self, stride: u64) -> Budget {
-        self.rebuild(|inner| inner.clock_stride = stride.max(1))
-    }
-
     fn rebuild(self, f: impl FnOnce(&mut Inner)) -> Budget {
         // Builders run before the budget is shared; a fresh Arc keeps the
         // configuration immutable afterwards.
         let mut inner = Inner {
             deadline: self.inner.deadline,
             work_limit: self.inner.work_limit,
-            clock_stride: self.inner.clock_stride,
             work: AtomicU64::new(self.inner.work.load(Ordering::Relaxed)),
             cancelled: AtomicBool::new(self.inner.cancelled.load(Ordering::Relaxed)),
             tripped: AtomicU8::new(self.inner.tripped.load(Ordering::Relaxed)),
@@ -218,7 +212,7 @@ impl Budget {
             return Err(self.trip(Reason::WorkLimit));
         }
         if let Some(deadline) = inner.deadline {
-            let crossed_stride = done / inner.clock_stride != (done - units) / inner.clock_stride;
+            let crossed_stride = done / CLOCK_STRIDE != (done - units) / CLOCK_STRIDE;
             if (done == units || crossed_stride) && Instant::now() >= deadline {
                 return Err(self.trip(Reason::Deadline));
             }
@@ -381,18 +375,17 @@ mod tests {
 
     #[test]
     fn deadline_is_detected_within_one_clock_stride() {
-        let b = Budget::unlimited()
-            .with_deadline(Duration::ZERO)
-            .with_clock_stride(8);
+        let b = Budget::unlimited().with_deadline(Duration::ZERO);
         // First check always reads the clock.
         assert_eq!(b.check().unwrap_err().reason, Reason::Deadline);
 
-        let b = Budget::unlimited()
-            .with_deadline(Duration::from_millis(5))
-            .with_clock_stride(4);
-        std::thread::sleep(Duration::from_millis(10));
-        // The deadline has passed; at most `stride` checks may still
-        // succeed before the next clock read trips.
+        let b = Budget::unlimited().with_deadline(Duration::from_millis(200));
+        // The first check reads the clock before the deadline passes.
+        assert!(b.check().is_ok());
+        std::thread::sleep(Duration::from_millis(250));
+        // The deadline has passed; the checks up to the next multiple of
+        // the stride still succeed, the one that reaches it reads the
+        // clock and trips.
         let mut passed = 0;
         loop {
             match b.check() {
@@ -402,8 +395,12 @@ mod tests {
                     break;
                 }
             }
-            assert!(passed <= 4, "overran the deadline by more than one stride");
+            assert!(
+                passed < CLOCK_STRIDE,
+                "overran the deadline by more than one stride"
+            );
         }
+        assert_eq!(passed, CLOCK_STRIDE - 2, "units 2..=63 skip the clock");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use rsn_core::{ControlExpr, RsnBuilder};
 use rsn_export::{to_icl, to_verilog};
-use rsn_verify::{verify, Code, Severity};
+use rsn_verify::{verify_with, Code, Severity, VerifyOptions};
 
 /// A network that is structurally sound but carries warnings: `live` is
 /// the whole active path, while `spur` hangs off the scan-in with a
@@ -26,7 +26,7 @@ fn warned_network() -> rsn_core::Rsn {
 fn verilog_and_icl_emission_succeed_for_warned_network() {
     let rsn = warned_network();
 
-    let report = verify(&rsn);
+    let report = verify_with(&rsn, VerifyOptions::default());
     assert_eq!(report.error_count(), 0, "{}", report.render());
     assert!(report.warning_count() > 0, "{}", report.render());
     let codes: Vec<Code> = report.diagnostics.iter().map(|d| d.code).collect();

@@ -521,91 +521,105 @@ mod tests {
         use rsn_budget::Budget;
 
         let mut rng = Rng(0x5eed_c011_a95e);
-        for round in 0..12 {
-            let rsn = random_sib_rsn(&mut rng);
-            let faults = fault_universe(&rsn);
-            let engine = AccessEngine::new(&rsn);
-            let mut scratch = engine.scratch();
-            for profile in [HardeningProfile::unhardened(), HardeningProfile::hardened()] {
-                let classes = FaultClasses::build(&rsn, &faults, profile);
-                // Class representatives' lane verdicts, batched 1, 63 and
-                // 64 at a time: every batching must agree lane for lane.
-                let reps: Vec<(usize, &FaultEffect)> = classes
-                    .classes()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(c, class)| match &class.kind {
-                        ClassKind::Effect(e) => Some((c, e)),
-                        _ => None,
-                    })
-                    .collect();
-                let mut lane_of: HashMap<usize, Accessibility> = HashMap::new();
-                for size in [1, LANES - 1, LANES] {
-                    for chunk in reps.chunks(size) {
-                        let effects: Vec<&FaultEffect> = chunk.iter().map(|&(_, e)| e).collect();
-                        let accs = engine.accessibility_batch(&effects, &mut scratch);
-                        for (&(c, _), acc) in chunk.iter().zip(accs) {
-                            if let Some(seen) = lane_of.get(&c) {
-                                assert_eq!(
-                                    seen, acc,
-                                    "round {round}: class {c} differs between batch sizes"
-                                );
+        for case in 0..12 {
+            // Each random SIB network and its synthesized FT network
+            // (XOR-addressed routing muxes, hardened muxes, secondary
+            // ports).
+            let sib = random_sib_rsn(&mut rng);
+            let ft = rsn_synth::synthesize(&sib, &rsn_synth::SynthesisOptions::new())
+                .expect("random SIB network synthesizes")
+                .rsn;
+            for (rsn, round) in [(sib, format!("SIB {case}")), (ft, format!("FT {case}"))] {
+                let faults = fault_universe(&rsn);
+                let engine = AccessEngine::new(&rsn);
+                let mut scratch = engine.scratch();
+                for profile in [HardeningProfile::unhardened(), HardeningProfile::hardened()] {
+                    let classes = FaultClasses::build(&rsn, &faults, profile);
+                    // Class representatives' lane verdicts, batched 1, 63 and
+                    // 64 at a time: every batching must agree lane for lane.
+                    let reps: Vec<(usize, &FaultEffect)> = classes
+                        .classes()
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(c, class)| match &class.kind {
+                            ClassKind::Effect(e) => Some((c, e)),
+                            _ => None,
+                        })
+                        .collect();
+                    let mut lane_of: HashMap<usize, Accessibility> = HashMap::new();
+                    for size in [1, LANES - 1, LANES] {
+                        for chunk in reps.chunks(size) {
+                            let effects: Vec<&FaultEffect> =
+                                chunk.iter().map(|&(_, e)| e).collect();
+                            let accs = engine.accessibility_batch(&effects, &mut scratch);
+                            for (&(c, _), acc) in chunk.iter().zip(accs) {
+                                if let Some(seen) = lane_of.get(&c) {
+                                    assert_eq!(
+                                        seen, acc,
+                                        "round {round}: class {c} differs between batch sizes"
+                                    );
+                                }
+                                lane_of.insert(c, acc.clone());
                             }
-                            lane_of.insert(c, acc.clone());
                         }
                     }
-                }
-                // Per fault: the class representative's lane verdict must
-                // equal the HashMap reference's verdict on the fault's own
-                // effect — the full Accessibility, not just the fractions.
-                let mut sum_seg = 0.0f64;
-                let mut sum_bits = 0.0f64;
-                let mut weight = 0u64;
-                let mut worst_seg = 1.0f64;
-                let mut worst_bits = 1.0f64;
-                let mut worst_fault = None;
-                for (i, fault) in faults.iter().enumerate() {
-                    let own = effect_of(&rsn, fault, profile);
-                    let (seg, bits) = match &classes.classes()[classes.class_of(i)].kind {
-                        ClassKind::Poison => unreachable!("healthy universe"),
-                        ClassKind::Benign => {
-                            assert!(own.is_benign(), "round {round}: {fault} not benign");
-                            (1.0, 1.0)
-                        }
-                        ClassKind::Effect(_) => {
-                            let lane = &lane_of[&classes.class_of(i)];
-                            let slow = reference::accessibility(&rsn, &own);
-                            assert_eq!(
-                                *lane, slow,
-                                "round {round}: class rep diverges from member {fault} \
+                    // Per fault: the class representative's lane verdict must
+                    // equal the HashMap reference's verdict on the fault's own
+                    // effect — the full Accessibility, not just the fractions.
+                    let mut sum_seg = 0.0f64;
+                    let mut sum_bits = 0.0f64;
+                    let mut weight = 0u64;
+                    let mut worst_seg = 1.0f64;
+                    let mut worst_bits = 1.0f64;
+                    let mut worst_fault = None;
+                    for (i, fault) in faults.iter().enumerate() {
+                        let own = effect_of(&rsn, fault, profile);
+                        let (seg, bits) = match &classes.classes()[classes.class_of(i)].kind {
+                            ClassKind::Poison => unreachable!("healthy universe"),
+                            ClassKind::Benign => {
+                                assert!(own.is_benign(), "round {round}: {fault} not benign");
+                                (1.0, 1.0)
+                            }
+                            ClassKind::Effect(_) => {
+                                let lane = &lane_of[&classes.class_of(i)];
+                                let slow = reference::accessibility(&rsn, &own);
+                                assert_eq!(
+                                    *lane, slow,
+                                    "round {round}: class rep diverges from member {fault} \
                                  (select_hardened {})",
-                                profile.select_hardened
-                            );
-                            (slow.segment_fraction(), slow.bit_fraction())
+                                    profile.select_hardened
+                                );
+                                (slow.segment_fraction(), slow.bit_fraction())
+                            }
+                        };
+                        let w = fault.weight as f64;
+                        sum_seg += seg * w;
+                        sum_bits += bits * w;
+                        weight += fault.weight as u64;
+                        if seg < worst_seg {
+                            worst_seg = seg;
+                            worst_fault = Some(*fault);
                         }
-                    };
-                    let w = fault.weight as f64;
-                    sum_seg += seg * w;
-                    sum_bits += bits * w;
-                    weight += fault.weight as u64;
-                    if seg < worst_seg {
-                        worst_seg = seg;
-                        worst_fault = Some(*fault);
+                        worst_bits = worst_bits.min(bits);
                     }
-                    worst_bits = worst_bits.min(bits);
+                    // Aggregates of the production sweep must be bit-identical
+                    // to this serial, uncollapsed reference.
+                    let report = analyze_classes_on_budget(
+                        &engine,
+                        &faults,
+                        &classes,
+                        1,
+                        &Budget::unlimited(),
+                    );
+                    let denom = weight.max(1) as f64;
+                    assert_eq!(report.total_weight, weight);
+                    assert_eq!(report.worst_segments, worst_seg);
+                    assert_eq!(report.avg_segments, sum_seg / denom);
+                    assert_eq!(report.worst_bits, worst_bits);
+                    assert_eq!(report.avg_bits, sum_bits / denom);
+                    assert_eq!(report.worst_fault, worst_fault);
+                    assert!(report.is_complete());
                 }
-                // Aggregates of the production sweep must be bit-identical
-                // to this serial, uncollapsed reference.
-                let report =
-                    analyze_classes_on_budget(&engine, &faults, &classes, 1, &Budget::unlimited());
-                let denom = weight.max(1) as f64;
-                assert_eq!(report.total_weight, weight);
-                assert_eq!(report.worst_segments, worst_seg);
-                assert_eq!(report.avg_segments, sum_seg / denom);
-                assert_eq!(report.worst_bits, worst_bits);
-                assert_eq!(report.avg_bits, sum_bits / denom);
-                assert_eq!(report.worst_fault, worst_fault);
-                assert!(report.is_complete());
             }
         }
     }

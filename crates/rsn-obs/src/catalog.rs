@@ -95,7 +95,6 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     (Counter, "synth.added_bits"),
     (Counter, "synth.ilp_runs"),
     (Counter, "synth.greedy_runs"),
-    (Counter, "synth.hardened_muxes"),
     (Gauge, "synth.phases.dataflow_ms"),
     (Gauge, "synth.phases.augment_ms"),
     (Gauge, "synth.phases.build_ms"),

@@ -72,7 +72,7 @@ pub use metrics::{
 };
 pub use prom::render_prometheus;
 pub use report::RunReport;
-pub use scope::{scope_active, scope_handles, scope_merge, ScopeGuard, ScopeHandle};
+pub use scope::{scope_handles, ScopeGuard, ScopeHandle};
 pub use span::{span_snapshot, timed, Span, SpanStat};
 pub use trace::{
     chrome_trace, set_trace_enabled, trace_drain, trace_enabled, trace_instant, TraceEvent,

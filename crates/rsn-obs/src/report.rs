@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 
 use crate::json_impl::Json;
 use crate::metrics::{metrics_snapshot, Registry};
-use crate::prom::render_prometheus;
 use crate::span::{span_snapshot, SpanStat};
 use crate::trip::{budget_trips, BudgetTrip};
 
@@ -122,11 +121,5 @@ impl RunReport {
     /// Indented JSON, two spaces per level.
     pub fn to_json_pretty(&self) -> String {
         self.to_json_value().to_string_pretty(2)
-    }
-
-    /// The registry portion in Prometheus text exposition format (spans
-    /// and budget trips are JSON-only).
-    pub fn to_prometheus(&self) -> String {
-        render_prometheus(&self.registry)
     }
 }

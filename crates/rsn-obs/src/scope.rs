@@ -84,12 +84,6 @@ pub fn scope_handles() -> Vec<ScopeHandle> {
     STACK.with(|s| s.borrow().clone())
 }
 
-/// True if at least one scope is entered on this thread. Lets hot paths
-/// skip snapshot/merge work that only exists to feed scopes.
-pub fn scope_active() -> bool {
-    STACK.with(|s| !s.borrow().is_empty())
-}
-
 pub(crate) fn tee_counter(name: &str, delta: u64) {
     STACK.with(|s| {
         for h in s.borrow().iter() {
@@ -124,17 +118,6 @@ pub(crate) fn tee_hist_merge(name: &str, hist: &crate::hist::Histogram) {
                 .entry(name.to_string())
                 .or_default()
                 .merge(hist);
-        }
-    });
-}
-
-/// Merges a whole registry into every scope on this thread (used by
-/// map-reduce collectors that fold worker-local registries).
-pub fn scope_merge(other: &Registry) {
-    STACK.with(|s| {
-        for h in s.borrow().iter() {
-            let mut g = h.inner.lock().unwrap();
-            g.merge(other);
         }
     });
 }

@@ -80,23 +80,6 @@ pub fn generate(soc: &Soc) -> Result<Rsn> {
     b.finish()
 }
 
-/// Generates a SIB-based RSN and statically verifies it with `rsn-verify`
-/// (SAT proofs of select/path agreement over *all* configurations, plus
-/// the structural passes).
-///
-/// Returns the network together with the verification report; a
-/// generated network is expected to verify clean, so callers typically
-/// assert [`VerifyReport::is_clean`](rsn_verify::VerifyReport::is_clean).
-///
-/// # Errors
-///
-/// Propagates structural validation errors from the RSN builder.
-pub fn generate_verified(soc: &Soc) -> Result<(Rsn, rsn_verify::VerifyReport)> {
-    let rsn = generate(soc)?;
-    let report = rsn_verify::verify(&rsn);
-    Ok((rsn, report))
-}
-
 /// Builds the SIB + subnetwork of module `idx`; returns its exit node.
 fn build_module(
     b: &mut RsnBuilder,
@@ -175,7 +158,8 @@ mod tests {
     fn generated_networks_verify_clean() {
         for name in ["u226", "d695"] {
             let soc = by_name(name).expect("embedded");
-            let (rsn, report) = generate_verified(&soc).expect("generate");
+            let rsn = generate(&soc).expect("generate");
+            let report = rsn_verify::verify_with(&rsn, rsn_verify::VerifyOptions::default());
             assert!(report.is_clean(), "{name}:\n{}", report.render());
             assert_eq!(report.warning_count(), 0, "{name}:\n{}", report.render());
             assert_eq!(rsn.name(), name);

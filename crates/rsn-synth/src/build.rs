@@ -31,13 +31,16 @@ use rsn_budget::Budget;
 
 use crate::augment::{augment_greedy, augment_ilp_under, AugmentOptions, Augmentation};
 use crate::dataflow::Dataflow;
-use crate::harden::{apply_mux_hardening, select_mux_hardening};
 use crate::select::{apply_selects, derive_selects};
+
+/// Largest dataflow graph (in vertices) that [`SolverChoice::Auto`] hands
+/// to the exact ILP; larger graphs go to the greedy heuristic.
+const ILP_MAX_VERTICES: usize = 24;
 
 /// Which augmentation solver to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverChoice {
-    /// ILP for small dataflow graphs, greedy beyond `ilp_max_vertices`.
+    /// ILP for dataflow graphs of at most 24 vertices, greedy beyond.
     #[default]
     Auto,
     /// Always the exact ILP.
@@ -70,12 +73,6 @@ pub struct SynthesisOptions {
     pub select_mode: SelectMode,
     /// Add secondary scan-in/scan-out ports (Sec. III-E-4).
     pub secondary_ports: bool,
-    /// `Auto` solver threshold on dataflow vertices.
-    pub ilp_max_vertices: usize,
-    /// TMR-harden at most this many multiplexer address nets, chosen by
-    /// accessibility gain ([`crate::harden`]). `None` hardens every mux
-    /// (the paper's Sec. III-E-3 default).
-    pub harden_budget: Option<usize>,
     /// Statically verify the synthesized network with `rsn-verify` (SAT
     /// proofs over all configurations plus graph passes, including the
     /// ineffective-augmentation check over the added edges). Error-severity
@@ -95,8 +92,6 @@ impl SynthesisOptions {
             solver: SolverChoice::Auto,
             select_mode: SelectMode::Auto,
             secondary_ports: true,
-            ilp_max_vertices: 24,
-            harden_budget: None,
             verify: false,
         }
     }
@@ -169,8 +164,8 @@ pub struct SynthesisReport {
     pub repairs: usize,
     /// Whether select expressions were materialized.
     pub selects_materialized: bool,
-    /// Multiplexer address nets TMR-hardened (all of them unless
-    /// `harden_budget` restricted the set).
+    /// Multiplexer address nets TMR-hardened (every multiplexer of the
+    /// synthesized network).
     pub hardened_muxes: usize,
     /// `true` if a resource budget forced a fallback from the exact ILP
     /// to the greedy heuristic: the network is valid but possibly
@@ -276,7 +271,7 @@ pub fn synthesize_under(
     let use_ilp = match opts.solver {
         SolverChoice::Ilp => true,
         SolverChoice::Greedy => false,
-        SolverChoice::Auto => df.len() <= opts.ilp_max_vertices.max(1),
+        SolverChoice::Auto => df.len() <= ILP_MAX_VERTICES,
     };
     let mut degraded = false;
     let augmentation = phase(&root, "augment", "synth.phases.augment_ms", || {
@@ -552,34 +547,17 @@ pub fn synthesize_under(
         build_start.elapsed().as_secs_f64() * 1e3,
     );
 
-    // 3. TMR-harden multiplexer address nets: all of them (paper default)
-    // or the best `harden_budget` by accessibility gain.
+    // 3. TMR-harden every multiplexer address net.
     phase(&root, "harden", "synth.phases.harden_ms", || {
-        match opts.harden_budget {
-            None => {
-                let mux_ids: Vec<NodeId> = (0..b.node_count() as u32)
-                    .map(NodeId)
-                    .filter(|&n| b.node(n).as_mux().is_some())
-                    .collect();
-                report.hardened_muxes = mux_ids.len();
-                for m in mux_ids {
-                    b.harden_mux(m);
-                }
-                Ok(())
-            }
-            Some(budget) => {
-                // Probe network: arena ids survive `finish`, so a plan
-                // computed on the probe applies directly to the builder.
-                let probe = b.clone().finish()?;
-                let plan =
-                    select_mux_hardening(&probe, budget, rsn_fault::HardeningProfile::hardened());
-                report.hardened_muxes = plan.chosen.len();
-                apply_mux_hardening(&mut b, &plan.chosen);
-                Ok(())
-            }
+        let mux_ids: Vec<NodeId> = (0..b.node_count() as u32)
+            .map(NodeId)
+            .filter(|&n| b.node(n).as_mux().is_some())
+            .collect();
+        report.hardened_muxes = mux_ids.len();
+        for m in mux_ids {
+            b.harden_mux(m);
         }
-    })
-    .map_err(SynthError::Build)?;
+    });
 
     let select_span = root.child("select");
     let select_start = std::time::Instant::now();
@@ -712,10 +690,11 @@ mod tests {
         // registers), but bits and muxes grow.
         assert_eq!(result.rsn.segments().count(), rsn.segments().count());
         assert!(result.rsn.total_bits() > rsn.total_bits());
-        // All muxes hardened.
+        // All muxes hardened, and the report counts them.
         for m in result.rsn.muxes() {
             assert!(result.rsn.node(m).as_mux().expect("mux").hardened);
         }
+        assert_eq!(result.report.hardened_muxes, result.rsn.muxes().count());
     }
 
     #[test]
@@ -810,26 +789,6 @@ mod tests {
         let so2 = ft.secondary_scan_out().expect("secondary scan-out");
         assert!(!ft.successors(si2).is_empty());
         assert!(ft.node(so2).source().is_some());
-    }
-
-    #[test]
-    fn harden_budget_limits_tmr_muxes() {
-        let rsn = fig2();
-        let mut opts = SynthesisOptions::new();
-        opts.harden_budget = Some(2);
-        let result = synthesize(&rsn, &opts).expect("synthesize");
-        let hardened = result
-            .rsn
-            .muxes()
-            .filter(|&m| result.rsn.node(m).as_mux().expect("mux").hardened)
-            .count();
-        assert_eq!(hardened, result.report.hardened_muxes);
-        assert!(hardened <= 2, "budget must cap hardening: {hardened}");
-        let total = result.rsn.muxes().count();
-        assert!(hardened < total, "fig2 FT network has > 2 muxes");
-        // The unrestricted default hardens everything.
-        let full = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
-        assert_eq!(full.report.hardened_muxes, full.rsn.muxes().count());
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod area;
 pub mod augment;
 pub mod build;
 pub mod dataflow;
-pub mod harden;
 pub mod select;
 
 pub use area::{AreaModel, NetworkCosts, Overhead};
@@ -42,5 +41,4 @@ pub use build::{
     SynthesisReport, SynthesisResult,
 };
 pub use dataflow::Dataflow;
-pub use harden::{apply_mux_hardening, select_mux_hardening, MuxHardeningPlan};
 pub use select::{select_hardness, SelectHardnessReport};

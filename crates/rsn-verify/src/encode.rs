@@ -429,7 +429,8 @@ mod tests {
         let (small_sat, large_sat) = (NetworkSat::build(&small), NetworkSat::build(&large));
         assert_eq!(small_sat.model_vars(), large_sat.model_vars());
 
-        let (small_report, large_report) = (crate::verify(&small), crate::verify(&large));
+        let verify = |rsn| crate::verify_with(rsn, crate::VerifyOptions::default());
+        let (small_report, large_report) = (verify(&small), verify(&large));
         assert!(small_report.is_clean(), "{}", small_report.render());
         assert!(large_report.is_clean(), "{}", large_report.render());
         assert_eq!(small_report.sat_queries, large_report.sat_queries);

@@ -82,7 +82,7 @@ impl ControlBitFix {
 /// The kind of repair a hint suggests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RepairAction {
-    /// Harden the mux (feeds `rsn-synth`'s `harden_budget` machinery).
+    /// TMR-harden the mux's address nets (`RsnBuilder::harden_mux`).
     HardenMux,
     /// Revise the segment's select predicate.
     ReviseSelect,
@@ -147,8 +147,8 @@ pub struct Explanation {
 }
 
 impl Explanation {
-    /// Muxes the hints suggest hardening — ready to feed
-    /// `rsn-synth`'s `SynthesisOptions::harden_budget` flow.
+    /// Muxes the hints suggest hardening, for
+    /// `rsn_core::RsnBuilder::harden_mux`.
     pub fn harden_targets(&self) -> Vec<NodeId> {
         self.hints
             .iter()

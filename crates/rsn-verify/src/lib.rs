@@ -17,7 +17,7 @@
 //!
 //! ```
 //! let rsn = rsn_core::examples::fig2();
-//! let report = rsn_verify::verify(&rsn);
+//! let report = rsn_verify::verify_with(&rsn, rsn_verify::VerifyOptions::default());
 //! assert!(report.is_clean());
 //! println!("{}", report.render());
 //! ```
@@ -79,22 +79,23 @@ impl VerifyOptions {
     }
 }
 
-/// Verifies `rsn` with every check enabled.
-pub fn verify(rsn: &Rsn) -> VerifyReport {
-    verify_with(rsn, VerifyOptions::default())
-}
-
 /// Verifies `rsn` with the given options.
 ///
 /// Builds one CNF model of the network's control logic and active-path
 /// membership, then answers every semantic question with an incremental
-/// assumption query against it. The returned report orders diagnostics
-/// by check family, then by node.
+/// assumption query against it (see [`verify_on`]). The returned report
+/// orders diagnostics by check family, then by node.
 pub fn verify_with(rsn: &Rsn, opts: VerifyOptions) -> VerifyReport {
-    verify_under(rsn, opts, &Budget::unlimited())
+    verify_on(rsn, &NetworkSat::build(rsn), opts, &Budget::unlimited())
 }
 
-/// Like [`verify_with`], bounded by a [`Budget`].
+/// Verifies `rsn` against a prebuilt [`NetworkSat`], bounded by a
+/// [`Budget`]. Resident callers (rsn-serve) cache the model per network
+/// and pass it here, so repeat verification of the same network skips
+/// construction entirely; solver state lives in a private per-call
+/// scratch, so concurrent calls against one model are safe.
+///
+/// `sat` must have been built from this same `rsn`.
 ///
 /// One work unit is spent per check family. Families the budget starves
 /// are recorded in [`VerifyReport::incomplete`] — their properties are
@@ -102,32 +103,11 @@ pub fn verify_with(rsn: &Rsn, opts: VerifyOptions) -> VerifyReport {
 /// `budget.exhausted` events are counted. Families that did run report
 /// exactly as under [`verify_with`]; with an unlimited budget the result
 /// is identical.
-pub fn verify_under(rsn: &Rsn, opts: VerifyOptions, budget: &Budget) -> VerifyReport {
-    verify_impl(rsn, opts, budget, None)
-}
-
-/// Like [`verify_under`], but queries a prebuilt shared [`NetworkSat`]
-/// instead of encoding the CNF itself. Resident callers (rsn-serve)
-/// cache the model per network and pass it here, so repeat verification
-/// of the same network skips construction entirely; solver state still
-/// lives in a private per-call scratch, so concurrent calls against one
-/// model are safe.
-///
-/// `sat` must have been built from this same `rsn`.
 pub fn verify_on(
     rsn: &Rsn,
     sat: &NetworkSat,
     opts: VerifyOptions,
     budget: &Budget,
-) -> VerifyReport {
-    verify_impl(rsn, opts, budget, Some(sat))
-}
-
-fn verify_impl(
-    rsn: &Rsn,
-    opts: VerifyOptions,
-    budget: &Budget,
-    shared: Option<&NetworkSat>,
 ) -> VerifyReport {
     // Chaos failpoint: injected errors / budget exhaustion cancel the
     // budget, so every check family lands in `incomplete` (unproven,
@@ -150,17 +130,15 @@ fn verify_impl(
         report.incomplete.push("structural");
     }
 
-    // The SAT-backed families share one CNF model, built lazily so a
-    // fully starved run skips the encoding (unless a resident caller
-    // already holds a shared model). The model is immutable; this run's
-    // solver state lives in its own scratch.
+    // The SAT-backed families share the one CNF model. It is immutable;
+    // this run's solver state lives in its own scratch, allocated only
+    // once a family runs.
     type SatCheck = fn(&Rsn, &NetworkSat, &mut SatScratch) -> Vec<Diagnostic>;
     let sat_families: [(&'static str, bool, SatCheck); 3] = [
         ("selects", opts.select_checks, checks::select_checks),
         ("muxes", true, checks::mux_checks),
         ("controllability", true, checks::controllability),
     ];
-    let mut owned: Option<NetworkSat> = None;
     let mut scratch: Option<SatScratch> = None;
     for (family, enabled, check) in sat_families {
         if !enabled {
@@ -170,10 +148,6 @@ fn verify_impl(
             report.incomplete.push(family);
             continue;
         }
-        let sat = match shared {
-            Some(s) => s,
-            None => owned.get_or_insert_with(|| NetworkSat::build(rsn)),
-        };
         let scr = scratch.get_or_insert_with(|| {
             let mut s = sat.scratch();
             s.set_threads(opts.solver_threads);
@@ -226,7 +200,7 @@ mod tests {
             examples::chain(4, 8),
             examples::sib_tree(2, 2, 4),
         ] {
-            let report = verify(&rsn);
+            let report = verify_with(&rsn, VerifyOptions::default());
             assert!(
                 report.is_clean(),
                 "{} not clean:\n{}",
@@ -255,7 +229,7 @@ mod tests {
             ]),
         );
         let rsn = b.finish().unwrap();
-        let report = verify(&rsn);
+        let report = verify_with(&rsn, VerifyOptions::default());
         let codes: Vec<Code> = report.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes.contains(&Code::NeverSelected), "{}", report.render());
         // Never selected but always on the structural path: also a
@@ -286,7 +260,7 @@ mod tests {
         b.set_select(c, ControlExpr::Const(true));
         let rsn = b.finish().unwrap();
 
-        let report = verify(&rsn);
+        let report = verify_with(&rsn, VerifyOptions::default());
         let mismatches: Vec<&Diagnostic> = report
             .diagnostics
             .iter()
@@ -330,7 +304,7 @@ mod tests {
         b.connect(m, b.scan_out());
         let rsn = b.finish().unwrap();
 
-        let report = verify(&rsn);
+        let report = verify_with(&rsn, VerifyOptions::default());
         let codes: Vec<Code> = report.diagnostics.iter().map(|d| d.code).collect();
         // addr = (i, i): reaches 00 and 11 only → inputs 1 and 2 dead at
         // most one alive... actually 00 selects input 0, 11 overflows.
@@ -356,7 +330,7 @@ mod tests {
         assert!(!report.checks_run.contains(&"selects"));
         assert!(report.checks_run.contains(&"structural"));
         assert!(report.checks_run.contains(&"muxes"));
-        let full = verify(&rsn);
+        let full = verify_with(&rsn, VerifyOptions::default());
         assert!(full.checks_run.contains(&"selects"));
         assert!(report.sat_queries < full.sat_queries);
     }
@@ -365,7 +339,12 @@ mod tests {
     fn zero_budget_marks_every_family_incomplete() {
         let rsn = examples::fig2();
         let budget = Budget::unlimited().with_work_limit(0);
-        let report = verify_under(&rsn, VerifyOptions::default(), &budget);
+        let report = verify_on(
+            &rsn,
+            &NetworkSat::build(&rsn),
+            VerifyOptions::default(),
+            &budget,
+        );
         assert!(!report.is_complete());
         assert!(report.checks_run.is_empty());
         assert_eq!(
@@ -402,7 +381,12 @@ mod tests {
         let rsn = examples::fig2();
         // Two work units: structural and selects run, the rest starve.
         let budget = Budget::unlimited().with_work_limit(2);
-        let report = verify_under(&rsn, VerifyOptions::default(), &budget);
+        let report = verify_on(
+            &rsn,
+            &NetworkSat::build(&rsn),
+            VerifyOptions::default(),
+            &budget,
+        );
         assert_eq!(report.checks_run, vec!["structural", "selects"]);
         assert_eq!(
             report.incomplete,
@@ -415,7 +399,8 @@ mod tests {
     fn unlimited_budget_verify_matches_unbudgeted() {
         let rsn = examples::fig2();
         let plain = verify_with(&rsn, VerifyOptions::default());
-        let budgeted = verify_under(&rsn, VerifyOptions::default(), &Budget::unlimited());
+        let sat = NetworkSat::build(&rsn);
+        let budgeted = verify_on(&rsn, &sat, VerifyOptions::default(), &Budget::unlimited());
         assert_eq!(plain, budgeted);
         assert!(budgeted.is_complete());
         assert!(!budgeted.render().contains("INCOMPLETE"));
@@ -425,7 +410,7 @@ mod tests {
     fn verify_on_shared_model_matches_owned_build() {
         let rsn = examples::fig2();
         let sat = NetworkSat::build(&rsn);
-        let owned = verify(&rsn);
+        let owned = verify_with(&rsn, VerifyOptions::default());
         // Two calls against the same shared model: each gets a private
         // scratch, so both match the owned-build report exactly.
         for _ in 0..2 {
@@ -437,7 +422,7 @@ mod tests {
     #[test]
     fn report_json_has_stable_shape() {
         let rsn = examples::fig2();
-        let report = verify(&rsn);
+        let report = verify_with(&rsn, VerifyOptions::default());
         let json = report.to_json().to_string_pretty(0);
         assert!(json.contains("\"network\""));
         assert!(json.contains("\"diagnostics\""));
@@ -460,7 +445,7 @@ mod tests {
             examples::sib_tree(2, 3, 4),
             broken,
         ] {
-            let report = verify(&rsn);
+            let report = verify_with(&rsn, VerifyOptions::default());
             let reports = |code: Code, node| {
                 report
                     .diagnostics
