@@ -17,11 +17,13 @@
 //! agreement, select satisfiability, multiplexer decode health and
 //! control-register controllability over *all* configurations, plus the
 //! structural and control-cycle graph passes. With `--ft`, the
-//! fault-tolerant synthesis runs first and its output is verified instead
-//! (select checks are skipped automatically when selects are not
-//! materialized). `--explain` attaches a root-cause explanation to every
-//! diagnostic: a minimal UNSAT core mapped back to the structural
-//! elements (cut nodes/edges, forcing control bits) plus repair hints.
+//! fault-tolerant synthesis runs first and its output is verified instead,
+//! with the options its synthesis report gives
+//! (`SynthesisReport::verify_options`: select checks are skipped when
+//! selects are not materialized). `--explain` attaches a root-cause
+//! explanation to every diagnostic: a minimal UNSAT core mapped back to
+//! the structural elements (cut nodes/edges, forcing control bits) plus
+//! repair hints.
 //! `--json` prints one JSON report object per network; explanations are
 //! embedded under each diagnostic's `"explanation"` key.
 //!
@@ -126,12 +128,7 @@ fn main() -> ExitCode {
                         return ExitCode::from(EXIT_TOOL_ERROR);
                     }
                 };
-                let vopts = if result.report.selects_materialized {
-                    VerifyOptions::default()
-                } else {
-                    VerifyOptions::without_select_checks()
-                };
-                (result.rsn, vopts)
+                (result.rsn, result.report.verify_options())
             } else {
                 (rsn, VerifyOptions::default())
             };

@@ -4,7 +4,7 @@
 //! ```text
 //! soc2rsn <input.soc | embedded-name> [--ft] [--out DIR]
 //!         [--solver auto|ilp|greedy] [--alpha F] [--no-ports]
-//!         [--report] [--lint] [--verify]
+//!         [--report] [--lint]
 //! ```
 //!
 //! Writes `<name>.v` (structural Verilog) and `<name>.icl` (IEEE 1687
@@ -15,9 +15,9 @@
 //! `--lint` statically verifies every emitted network with `rsn-verify`
 //! (SAT proofs over all configurations plus graph passes) and prints the
 //! structured diagnostics; error-severity findings make the exit code
-//! non-zero. `--verify` additionally gates the synthesis itself: the
-//! fault-tolerant network is verified (including the
-//! ineffective-augmentation check) before it is accepted.
+//! non-zero. The fault-tolerant network is verified with the options its
+//! synthesis report gives (`SynthesisReport::verify_options`: no select
+//! checks on placeholder selects).
 
 use std::env;
 use std::fs;
@@ -29,12 +29,13 @@ use rsn_fault::{analyze, HardeningProfile};
 use rsn_itc02::{by_name, parse_soc};
 use rsn_sib::generate;
 use rsn_synth::{synthesize, SolverChoice, SynthesisOptions};
+use rsn_verify::VerifyOptions;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: soc2rsn <input.soc | embedded-name> [--ft] [--out DIR] \
          [--solver auto|ilp|greedy] [--alpha F] [--no-ports] [--report] \
-         [--lint] [--verify]"
+         [--lint]"
     );
     ExitCode::FAILURE
 }
@@ -55,7 +56,6 @@ fn main() -> ExitCode {
             "--ft" => ft = true,
             "--report" => report = true,
             "--lint" => lint = true,
-            "--verify" => opts.verify = true,
             "--no-ports" => opts.secondary_ports = false,
             "--out" => {
                 i += 1;
@@ -114,11 +114,10 @@ fn main() -> ExitCode {
     }
 
     let mut lint_errors = 0usize;
-    // (name, network, selects materialized): placeholder selects on large
-    // networks are expected to disagree with path membership, so lint
-    // skips select checks for them just like the synthesis-time gate.
-    let mut emitted: Vec<(String, rsn_core::Rsn, bool)> =
-        vec![(soc.name.clone(), rsn.clone(), true)];
+    // (name, network, lint options): the synthesized network is linted
+    // with the options its synthesis report gives.
+    let mut emitted: Vec<(String, rsn_core::Rsn, VerifyOptions)> =
+        vec![(soc.name.clone(), rsn.clone(), VerifyOptions::default())];
     if ft {
         match synthesize(&rsn, &opts) {
             Ok(result) => {
@@ -133,8 +132,8 @@ fn main() -> ExitCode {
                         "greedy"
                     }
                 );
-                let materialized = result.report.selects_materialized;
-                emitted.push((format!("{}_ft", soc.name), result.rsn, materialized));
+                let vopts = result.report.verify_options();
+                emitted.push((format!("{}_ft", soc.name), result.rsn, vopts));
             }
             Err(e) => {
                 eprintln!("error: synthesis failed: {e}");
@@ -143,7 +142,7 @@ fn main() -> ExitCode {
         }
     }
 
-    for (name, network, selects_materialized) in &emitted {
+    for (name, network, vopts) in &emitted {
         let v = out_dir.join(format!("{name}.v"));
         let icl = out_dir.join(format!("{name}.icl"));
         if let Err(e) = fs::write(&v, to_verilog(network)) {
@@ -163,12 +162,7 @@ fn main() -> ExitCode {
             icl.display()
         );
         if lint {
-            let vopts = if *selects_materialized {
-                rsn_verify::VerifyOptions::default()
-            } else {
-                rsn_verify::VerifyOptions::without_select_checks()
-            };
-            let vreport = rsn_verify::verify_with(network, vopts);
+            let vreport = rsn_verify::verify_with(network, *vopts);
             print!("{}", indent(&vreport.render()));
             lint_errors += vreport.error_count();
         }

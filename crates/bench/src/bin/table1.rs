@@ -1,7 +1,7 @@
 //! Regenerates Table I of the paper (and the auxiliary experiment data).
 //!
 //! ```text
-//! table1 [--bench NAME]... [--timing] [--paper] [--verify]
+//! table1 [--bench NAME]... [--timing] [--paper]
 //!        [--weights ports|cells] [--ablation] [--sweep-alpha] [--latency]
 //!        [--double] [--json PATH] [--trace PATH] [--prom PATH]
 //!        [--bench-sat PATH] [--budget SECS] [--resume]
@@ -30,9 +30,8 @@
 //! every completed row; `--resume` loads it and skips the rows it
 //! already contains, so an interrupted run continues where it stopped.
 //!
-//! With `--verify`, every synthesized fault-tolerant network is statically
-//! verified (`rsn-verify`: SAT proofs plus graph passes, including the
-//! ineffective-augmentation check); error-severity findings abort the run.
+//! Static verification of the synthesized networks is `rsn-lint --ft`
+//! (or `soc2rsn --ft --lint`), not part of this table.
 //!
 //! Without arguments, the full table is printed over all 13 embedded
 //! benchmarks with measured accessibility and overhead values, next to the
@@ -405,7 +404,6 @@ fn main() {
     let mut names: Vec<&str> = Vec::new();
     let mut show_paper = false;
     let mut timing = false;
-    let mut verify = false;
     let mut ablation = false;
     let mut sweep_alpha = false;
     let mut latency = false;
@@ -432,7 +430,6 @@ fn main() {
             }
             "--paper" => show_paper = true,
             "--timing" => timing = true,
-            "--verify" => verify = true,
             "--ablation" => ablation = true,
             "--sweep-alpha" => sweep_alpha = true,
             "--latency" => latency = true,
@@ -539,13 +536,6 @@ fn main() {
         }
     }
 
-    // Post-synthesis static verification gates every row under
-    // `--verify`: error-severity diagnostics abort inside `synthesize`.
-    let opts = if verify {
-        SynthesisOptions::verified()
-    } else {
-        SynthesisOptions::new()
-    };
     header();
     let t0 = Instant::now();
     let mut reports: Vec<Json> = Vec::new();
@@ -575,7 +565,7 @@ fn main() {
         let row_budget = budget_secs.map_or_else(Budget::unlimited, |secs| {
             Budget::unlimited().with_deadline(Duration::from_secs_f64(secs))
         });
-        let row = evaluate_budgeted(name, &opts, weights, &row_budget);
+        let row = evaluate_budgeted(name, &SynthesisOptions::new(), weights, &row_budget);
         println!("{}", format_row(&row));
         if row.timed_out {
             println!(
@@ -585,14 +575,6 @@ fn main() {
         }
         if row.degraded {
             println!("         DEGRADED: augmentation ILP budget exhausted, greedy fallback used");
-        }
-        if let Some(v) = &row.synthesis.verification {
-            println!(
-                "         verified: {} error(s), {} warning(s), {} SAT queries",
-                v.error_count(),
-                v.warning_count(),
-                v.sat_queries
-            );
         }
         if show_paper {
             println!("{}", paper_row(&row));

@@ -5,7 +5,8 @@
 use rsn_budget::Budget;
 use rsn_core::{examples, ControlExpr, Rsn, RsnBuilder};
 use rsn_verify::{
-    explain_report, replay_eliminates, Code, NetworkSat, Severity, VerifyOptions, VerifyReport,
+    explain_report, replay_eliminates, Code, NetworkSat, RepairAction, Severity, VerifyOptions,
+    VerifyReport,
 };
 
 fn verify_and_explain(rsn: &Rsn) -> (NetworkSat, VerifyReport) {
@@ -196,7 +197,10 @@ fn uncontrollable_register_explanation_names_steering_cut() {
         e.hints.iter().any(|h| h.target == Some(m)),
         "expected a repair hint targeting the mux"
     );
-    assert!(!e.harden_targets().is_empty());
+    assert!(e
+        .hints
+        .iter()
+        .any(|h| h.action == RepairAction::HardenMux && h.target.is_some()));
 }
 
 #[test]
@@ -233,7 +237,10 @@ fn ft_fixture_explanations_pin_forcing_cubes() {
     // The steering mux is implicated and suggested for hardening.
     let m = rsn.find("M4").unwrap();
     assert!(e.cut_nodes.contains(&m));
-    assert!(e.harden_targets().contains(&m));
+    assert!(e
+        .hints
+        .iter()
+        .any(|h| h.action == RepairAction::HardenMux && h.target == Some(m)));
 
     // CTL itself is off-path exactly when steered to the secondary
     // branch: a single CTL[1]=1 cube.

@@ -1,4 +1,4 @@
-//! Max-flow (Dinic) and Menger-style vertex-independent path counting.
+//! Menger-style vertex-independent path counting by max-flow (Dinic).
 //!
 //! The connectivity requirement of fault-tolerant RSNs (paper Sec. III-C)
 //! asks for two *vertex-independent* paths from the primary scan-in to every
@@ -6,68 +6,44 @@
 //! theorem the maximum number of internally vertex-disjoint `s→t` paths
 //! equals the max-flow in the graph where every internal vertex is split
 //! into an in-copy and an out-copy joined by a unit-capacity edge.
+//!
+//! Synthesis answers the two-path question with the linear dominator test
+//! ([`crate::two_independent_paths`]); the exact count here is the
+//! reference that test is checked against.
 
 use crate::graph::DiGraph;
 
 /// A flow network with integer capacities (adjacency + residual storage),
 /// solved by Dinic's algorithm.
-///
-/// # Example
-///
-/// ```
-/// use rsn_graph::FlowNetwork;
-///
-/// let mut net = FlowNetwork::new(4);
-/// net.add_edge(0, 1, 2);
-/// net.add_edge(0, 2, 1);
-/// net.add_edge(1, 3, 1);
-/// net.add_edge(2, 3, 2);
-/// assert_eq!(net.max_flow(0, 3), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlowNetwork {
+struct FlowNetwork {
     /// to, capacity, index of reverse edge in `graph[to]`.
     graph: Vec<Vec<(usize, i64, usize)>>,
 }
 
 impl FlowNetwork {
     /// Creates a network with `n` vertices.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         FlowNetwork {
             graph: vec![Vec::new(); n],
         }
     }
 
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// `true` if the network has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
     /// Adds a directed edge with the given capacity (and a zero-capacity
     /// reverse edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn add_edge(&mut self, u: usize, v: usize, cap: i64) {
+    fn add_edge(&mut self, u: usize, v: usize, cap: i64) {
         let ui = self.graph[u].len();
         let vi = self.graph[v].len();
         self.graph[u].push((v, cap, vi));
         self.graph[v].push((u, 0, ui));
     }
 
-    /// Computes the maximum `s→t` flow (Dinic). The network is consumed
-    /// into its residual state; call on a clone to preserve capacities.
-    pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
+    /// Computes the maximum `s→t` flow (Dinic), leaving the network in
+    /// its residual state.
+    fn max_flow(&mut self, s: usize, t: usize) -> i64 {
         if s == t {
             return i64::MAX;
         }
-        let n = self.len();
+        let n = self.graph.len();
         let mut flow = 0i64;
         loop {
             // BFS level graph.
@@ -117,15 +93,6 @@ impl FlowNetwork {
     }
 }
 
-/// Maximum `s→t` flow in `g` with unit edge capacities.
-pub fn max_flow(g: &DiGraph, s: usize, t: usize) -> i64 {
-    let mut net = FlowNetwork::new(g.len());
-    for (u, v) in g.edges() {
-        net.add_edge(u, v, 1);
-    }
-    net.max_flow(s, t)
-}
-
 /// Number of internally vertex-disjoint `s→t` paths in `g` (Menger).
 ///
 /// Vertices other than `s` and `t` are split into in/out copies joined by a
@@ -158,7 +125,6 @@ mod tests {
     fn diamond_has_two_paths() {
         let g = DiGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         assert_eq!(vertex_independent_paths(&g, 0, 3), 2);
-        assert_eq!(max_flow(&g, 0, 3), 2);
     }
 
     #[test]
@@ -174,7 +140,6 @@ mod tests {
         //   0 -> 1 -> 2 -> 4
         //   0 -> 3 -> 1 -> 4  (through 1 again)
         let g = DiGraph::from_edges(5, &[(0, 1), (1, 2), (2, 4), (0, 3), (3, 1), (1, 4)]);
-        assert_eq!(max_flow(&g, 0, 4), 2);
         assert_eq!(vertex_independent_paths(&g, 0, 4), 1);
     }
 
@@ -203,7 +168,7 @@ mod tests {
         let mut g = DiGraph::new(2);
         g.add_edge(0, 1);
         g.add_edge(0, 1);
-        assert_eq!(max_flow(&g, 0, 1), 2);
+        assert_eq!(vertex_independent_paths(&g, 0, 1), 2);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   [`DiGraph::levels`]) — the `level(·)` function that defines the
 //!   potential-edge set of the augmentation ILP.
 //! * Cycle detection ([`DiGraph::find_cycle`]).
-//! * Max-flow ([`max_flow`], Dinic) with vertex splitting, giving
-//!   Menger-style *vertex-independent path* counts
-//!   ([`vertex_independent_paths`]) — the connectivity requirement of
-//!   fault-tolerant RSNs (Sec. III-C).
+//! * Menger-style *vertex-independent path* counts
+//!   ([`vertex_independent_paths`], Dinic max-flow with vertex
+//!   splitting) — the connectivity requirement of fault-tolerant RSNs
+//!   (Sec. III-C), kept as the exact reference for the dominator test.
 //! * Dominators ([`dominators()`]) — single-point-of-failure analysis: a
 //!   vertex dominating `s` on every root→s path is a single point of
 //!   failure for accessing `s`. [`two_independent_paths`] turns them into
@@ -33,5 +33,5 @@ pub mod flow;
 pub mod graph;
 
 pub use dominators::{dominators, postdominators, two_independent_paths};
-pub use flow::{max_flow, vertex_independent_paths, FlowNetwork};
+pub use flow::vertex_independent_paths;
 pub use graph::DiGraph;

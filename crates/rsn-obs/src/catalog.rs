@@ -100,7 +100,6 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     (Gauge, "synth.phases.build_ms"),
     (Gauge, "synth.phases.harden_ms"),
     (Gauge, "synth.phases.select_ms"),
-    (Gauge, "synth.phases.verify_ms"),
     // rsn-verify: static lint + SAT checks.
     (Counter, "lint.runs"),
     (Counter, "lint.errors"),

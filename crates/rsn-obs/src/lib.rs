@@ -10,8 +10,8 @@
 //! * **Metrics** ([`counter_add`], [`gauge_set`], [`hist_record`],
 //!   [`Registry`]) — a process-global registry of named `u64` counters,
 //!   `f64` gauges and log2-bucketed [`Histogram`]s. Counters accumulate,
-//!   gauges overwrite, histograms merge bucket-wise; snapshots are cheap
-//!   and registries merge for map-reduce style parallel collection.
+//!   gauges overwrite, histograms merge bucket-wise; snapshots are
+//!   cheap.
 //!   Names may embed labels as `base{key=value}` (see [`METRIC_CATALOG`]
 //!   for the full inventory).
 //! * **Event tracing** ([`TraceGuard`], [`trace_instant`],

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use crate::hist::Histogram;
 
 /// A snapshot (or free-standing accumulator) of named metrics. Counters
-/// add on merge; gauges overwrite; histograms merge bucket-wise.
+/// accumulate; gauges overwrite; histograms merge bucket-wise.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     pub counters: BTreeMap<String, u64>,
@@ -45,27 +45,13 @@ impl Registry {
             .record(value);
     }
 
-    /// Folds `other` into `self`: counters accumulate, gauges take the
-    /// incoming value, histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &Registry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 
-// Compile-time guarantee: registries move between threads (map-reduce
-// collection, per-request scopes) — a future non-Send field fails here.
+// Compile-time guarantee: registries move between threads (the global
+// registry, per-request scopes) — a future non-Send field fails here.
 const _: () = {
     const fn require_send_sync<T: Send + Sync>() {}
     require_send_sync::<Registry>()

@@ -7,8 +7,8 @@
 //! snapshots instead of calling `reset()`.
 
 use rsn_obs::{
-    counter_add, counter_get, gauge_set, json, metrics_snapshot, span_snapshot, timed, Registry,
-    RunReport, Span,
+    counter_add, counter_get, gauge_set, json, metrics_snapshot, span_snapshot, timed, RunReport,
+    Span,
 };
 
 #[test]
@@ -70,23 +70,6 @@ fn global_counters_accumulate_and_gauges_overwrite() {
     let snap = metrics_snapshot();
     assert_eq!(snap.gauges.get("t4.temp"), Some(&2.5));
     assert_eq!(snap.counters.get("t4.hits"), Some(&5));
-}
-
-#[test]
-fn registry_merge_adds_counters_and_overwrites_gauges() {
-    let mut a = Registry::new();
-    a.counter_add("x", 10);
-    a.counter_add("only_a", 1);
-    a.gauge_set("g", 1.0);
-    let mut b = Registry::new();
-    b.counter_add("x", 5);
-    b.counter_add("only_b", 7);
-    b.gauge_set("g", 9.0);
-    a.merge(&b);
-    assert_eq!(a.counters.get("x"), Some(&15));
-    assert_eq!(a.counters.get("only_a"), Some(&1));
-    assert_eq!(a.counters.get("only_b"), Some(&7));
-    assert_eq!(a.gauges.get("g"), Some(&9.0));
 }
 
 #[test]

@@ -352,10 +352,7 @@ fn synth(
     if let Err(resp) = admit(ctx, &rsn, info) {
         return resp;
     }
-    let mut opts = rsn_synth::SynthesisOptions::new();
-    if spec.get("verify").and_then(as_bool) == Some(true) {
-        opts.verify = true;
-    }
+    let opts = rsn_synth::SynthesisOptions::new();
     let result = match rsn_synth::synthesize_under(&rsn, &opts, budget) {
         Ok(r) => r,
         Err(e) => return ApiResponse::error(400, format!("synthesis failed: {e}")),

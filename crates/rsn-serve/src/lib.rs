@@ -21,7 +21,7 @@
 //! | `POST /lint`     | network spec                           | verification report |
 //! | `POST /sweep`    | network spec + profile/threads         | fault-sweep summary |
 //! | `POST /plan`     | network spec + target (+ fault_index)  | access plan |
-//! | `POST /synth`    | network spec + options                 | synthesis report |
+//! | `POST /synth`    | network spec                           | synthesis report |
 //! | `GET /metrics`   | —                                      | Prometheus text |
 //! | `GET /healthz`   | —                                      | liveness + cache size |
 //!

@@ -73,14 +73,6 @@ pub struct SynthesisOptions {
     pub select_mode: SelectMode,
     /// Add secondary scan-in/scan-out ports (Sec. III-E-4).
     pub secondary_ports: bool,
-    /// Statically verify the synthesized network with `rsn-verify` (SAT
-    /// proofs over all configurations plus graph passes, including the
-    /// ineffective-augmentation check over the added edges). Error-severity
-    /// findings fail the synthesis with [`SynthError::Verify`]; the full
-    /// report lands in [`SynthesisResult::verification`]. Select-predicate
-    /// checks are skipped automatically when selects were not
-    /// materialized (placeholder constant-true selects).
-    pub verify: bool,
 }
 
 impl SynthesisOptions {
@@ -92,15 +84,6 @@ impl SynthesisOptions {
             solver: SolverChoice::Auto,
             select_mode: SelectMode::Auto,
             secondary_ports: true,
-            verify: false,
-        }
-    }
-
-    /// Paper-faithful defaults plus post-synthesis static verification.
-    pub fn verified() -> Self {
-        SynthesisOptions {
-            verify: true,
-            ..SynthesisOptions::new()
         }
     }
 }
@@ -113,9 +96,6 @@ pub enum SynthError {
     Ilp(IlpError),
     /// Rebuilding the network failed structurally.
     Build(rsn_core::Error),
-    /// Post-synthesis static verification found error-severity
-    /// diagnostics (only with [`SynthesisOptions::verify`]).
-    Verify(Box<rsn_verify::VerifyReport>),
 }
 
 impl fmt::Display for SynthError {
@@ -123,12 +103,6 @@ impl fmt::Display for SynthError {
         match self {
             SynthError::Ilp(e) => write!(f, "augmentation ilp failed: {e}"),
             SynthError::Build(e) => write!(f, "network construction failed: {e}"),
-            SynthError::Verify(report) => write!(
-                f,
-                "synthesized network failed static verification with {} error(s):\n{}",
-                report.error_count(),
-                report.render()
-            ),
         }
     }
 }
@@ -173,6 +147,22 @@ pub struct SynthesisReport {
     pub degraded: bool,
 }
 
+impl SynthesisReport {
+    /// The options to verify the synthesized network with
+    /// ([`rsn_verify::verify_with`]): every check family, but select
+    /// checks only when the selects were materialized. Placeholder
+    /// constant-true selects disagree with path membership by
+    /// construction, so proving select/path agreement on them would only
+    /// re-discover the placeholder.
+    pub fn verify_options(&self) -> rsn_verify::VerifyOptions {
+        if self.selects_materialized {
+            rsn_verify::VerifyOptions::default()
+        } else {
+            rsn_verify::VerifyOptions::without_select_checks()
+        }
+    }
+}
+
 impl std::fmt::Display for SynthesisReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -197,7 +187,8 @@ impl std::fmt::Display for SynthesisReport {
     }
 }
 
-/// Result of the synthesis: the fault-tolerant network plus diagnostics.
+/// Result of the synthesis: the fault-tolerant network, its report and
+/// the augmentation it integrates.
 #[derive(Debug, Clone)]
 pub struct SynthesisResult {
     /// The fault-tolerant RSN.
@@ -206,8 +197,6 @@ pub struct SynthesisResult {
     pub report: SynthesisReport,
     /// The augmentation that was integrated.
     pub augmentation: Augmentation,
-    /// Static verification report (only with [`SynthesisOptions::verify`]).
-    pub verification: Option<rsn_verify::VerifyReport>,
 }
 
 fn remap_expr(e: &ControlExpr, map: &[NodeId]) -> ControlExpr {
@@ -403,6 +392,9 @@ pub fn synthesize_under(
     // input, so even a dirty write (which deterministically delivers the
     // fault's stuck value) can cancel a stuck first operand and restore
     // the original route — the XOR pair is live under every single fault.
+    // (On the 13 embedded SoCs no single-fault verdict needs that dirty
+    // write: the metric is bit-identical with the engine's dirty-write
+    // promotion removed; DESIGN.md §4.5.)
     // Fall back to a dataflow predecessor when the target is a port.
     let second_owner = |vi: usize, vj: usize| -> Option<NodeId> {
         owner_of(df.vertex_node[vj]).or_else(|| {
@@ -575,8 +567,8 @@ pub fn synthesize_under(
         b.finish()?
     } else {
         // Conservative constant-true selects: the metric engine and area
-        // model do not read them; validity checking is skipped for large
-        // fault-tolerant networks (documented in DESIGN.md).
+        // model do not read them, and `SynthesisReport::verify_options`
+        // skips the select checks on them (documented in DESIGN.md).
         let ids: Vec<NodeId> = (0..b.node_count() as u32).map(NodeId).collect();
         for id in ids {
             if matches!(b.node(id).kind(), NodeKind::Segment(_)) {
@@ -603,63 +595,10 @@ pub fn synthesize_under(
         1,
     );
 
-    // 5. Optional post-synthesis static verification: SAT proofs over
-    // all configurations plus graph passes, including the
-    // ineffective-augmentation check over the edges just integrated.
-    let verification = if opts.verify {
-        let vreport = phase(&root, "verify", "synth.phases.verify_ms", || {
-            let vopts = if report.selects_materialized {
-                rsn_verify::VerifyOptions::default()
-            } else {
-                // Placeholder constant-true selects: proving select/path
-                // agreement would only re-discover the placeholder.
-                rsn_verify::VerifyOptions::without_select_checks()
-            };
-            let mut vreport = rsn_verify::verify_with(&ft, vopts);
-            // Augmentation effectiveness on the *augmented* dataflow graph.
-            let mut augmented = df.graph.clone();
-            for &(i, j) in &augmentation.added {
-                augmented.add_edge(i, j);
-            }
-            for ineffective in rsn_verify::ineffective_augmentation(
-                &augmented,
-                &augmentation.added,
-                df.root,
-                df.sink,
-            ) {
-                let (vi, vj) = ineffective.edge;
-                let tgt = map[df.vertex_node[vj].index()];
-                vreport.diagnostics.push(
-                    rsn_verify::Diagnostic::new(
-                        rsn_verify::Code::IneffectiveAugmentation,
-                        &ft,
-                        tgt,
-                        format!(
-                            "augmentation edge {} → {} raises no vertex-independent \
-                             path count",
-                            ft.node(map[df.vertex_node[vi].index()]).name(),
-                            ft.node(tgt).name()
-                        ),
-                    )
-                    .with_related(vec![map[df.vertex_node[vi].index()]]),
-                );
-            }
-            vreport.checks_run.push("augmentation");
-            vreport
-        });
-        if !vreport.is_clean() {
-            return Err(SynthError::Verify(Box::new(vreport)));
-        }
-        Some(vreport)
-    } else {
-        None
-    };
-
     Ok(SynthesisResult {
         rsn: ft,
         report,
         augmentation,
-        verification,
     })
 }
 
@@ -794,24 +733,23 @@ mod tests {
     #[test]
     fn verified_synthesis_is_clean_on_fig2() {
         let rsn = fig2();
-        let result = synthesize(&rsn, &SynthesisOptions::verified()).expect("synthesize");
-        let vreport = result.verification.expect("verification ran");
+        let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
+        let vreport = rsn_verify::verify_with(&result.rsn, result.report.verify_options());
         assert!(vreport.is_clean(), "{}", vreport.render());
         assert!(
             vreport.checks_run.contains(&"selects"),
             "fig2 is small: selects materialized and checked"
         );
-        assert!(vreport.checks_run.contains(&"augmentation"));
         assert!(vreport.sat_queries > 0);
     }
 
     #[test]
     fn verified_synthesis_skips_select_checks_without_materialization() {
         let rsn = fig2();
-        let mut opts = SynthesisOptions::verified();
+        let mut opts = SynthesisOptions::new();
         opts.select_mode = SelectMode::Never;
         let result = synthesize(&rsn, &opts).expect("synthesize");
-        let vreport = result.verification.expect("verification ran");
+        let vreport = rsn_verify::verify_with(&result.rsn, result.report.verify_options());
         assert!(!vreport.checks_run.contains(&"selects"));
         assert!(vreport.is_clean(), "{}", vreport.render());
     }
@@ -820,8 +758,8 @@ mod tests {
     fn verified_synthesis_is_clean_on_sib_benchmark() {
         let soc = by_name("u226").expect("embedded");
         let rsn = generate(&soc).expect("generate");
-        let result = synthesize(&rsn, &SynthesisOptions::verified()).expect("synthesize");
-        let vreport = result.verification.expect("verification ran");
+        let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
+        let vreport = rsn_verify::verify_with(&result.rsn, result.report.verify_options());
         assert!(vreport.is_clean(), "{}", vreport.render());
     }
 

@@ -74,9 +74,6 @@ pub enum Code {
     /// `RSN010` — a shadow register drives control logic but can never
     /// lie on any scan path, so its bits are stuck at reset (SAT proof).
     UncontrollableControlRegister,
-    /// `RSN011` — an augmentation edge does not increase any
-    /// vertex-independent path count (max-flow proof).
-    IneffectiveAugmentation,
 }
 
 impl Code {
@@ -93,7 +90,6 @@ impl Code {
             Code::CannotReachScanOut => "RSN008",
             Code::ControlDependencyCycle => "RSN009",
             Code::UncontrollableControlRegister => "RSN010",
-            Code::IneffectiveAugmentation => "RSN011",
         }
     }
 
@@ -109,8 +105,7 @@ impl Code {
             | Code::AddressWithoutShadow
             | Code::UnreachableFromScanIn
             | Code::CannotReachScanOut
-            | Code::ControlDependencyCycle
-            | Code::IneffectiveAugmentation => Severity::Warning,
+            | Code::ControlDependencyCycle => Severity::Warning,
         }
     }
 }

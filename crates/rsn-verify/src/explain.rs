@@ -20,7 +20,7 @@
 //!   the guards, minimized by deletion, names the structural elements
 //!   whose removal makes the property satisfiable — a minimal cut.
 //!
-//! Graph-derived findings (`RSN006`–`RSN009`, `RSN011`) get structural
+//! Graph-derived findings (`RSN006`–`RSN009`) get structural
 //! explanations from their related nodes and cone. Every step is
 //! budget-aware: exhaustion degrades to unminimized cores or structural
 //! fallbacks, never hangs.
@@ -92,8 +92,6 @@ pub enum RepairAction {
     ConnectNode,
     /// Break the control-dependency cycle.
     BreakCycle,
-    /// Drop the ineffective augmentation edge.
-    RemoveAugmentation,
 }
 
 /// A concrete repair suggestion derived from the cut.
@@ -147,16 +145,6 @@ pub struct Explanation {
 }
 
 impl Explanation {
-    /// Muxes the hints suggest hardening, for
-    /// `rsn_core::RsnBuilder::harden_mux`.
-    pub fn harden_targets(&self) -> Vec<NodeId> {
-        self.hints
-            .iter()
-            .filter(|h| h.action == RepairAction::HardenMux)
-            .filter_map(|h| h.target)
-            .collect()
-    }
-
     /// Indented terminal rendering, one line per element.
     pub fn render_lines(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -891,20 +879,6 @@ fn structural_explanation(
                     RepairAction::BreakCycle,
                     Some(n),
                     format!("break the control cycle through {}", rsn.node(n).name()),
-                );
-            }
-        }
-        Code::IneffectiveAugmentation => {
-            if let (Some(&a), Some(&b)) = (d.related.first(), d.related.get(1)) {
-                push_hint(
-                    &mut hints,
-                    RepairAction::RemoveAugmentation,
-                    Some(b),
-                    format!(
-                        "drop the augmentation edge {} → {}",
-                        rsn.node(a).name(),
-                        rsn.node(b).name()
-                    ),
                 );
             }
         }

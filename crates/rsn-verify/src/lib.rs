@@ -5,10 +5,9 @@
 //! predicate is checked for satisfiability and for agreement with
 //! active-scan-path membership by a SAT query over the network's control
 //! CNF, multiplexer decode logic is checked per input, and shadow
-//! registers that feed control logic are proven placeable on a scan path. Graph passes cover reachability, cyclic
-//! control dependencies (SCC) and — given the synthesis's augmentation
-//! edges — redundant fault-tolerance edges that raise no
-//! vertex-independent path count.
+//! registers that feed control logic are proven placeable on a scan path.
+//! Graph passes cover reachability, shadow-less address sources and
+//! cyclic control dependencies (SCC).
 //!
 //! Findings come back as [`Diagnostic`]s with stable `RSN0xx` codes,
 //! severities, node provenance and — for existence findings — a witness
@@ -22,14 +21,12 @@
 //! println!("{}", report.render());
 //! ```
 
-mod augment;
 mod checks;
 mod cone;
 mod diag;
 mod encode;
 mod explain;
 
-pub use augment::{ineffective_augmentation, IneffectiveEdge};
 pub use cone::cone_of_influence;
 pub use diag::{Code, Diagnostic, Severity, VerifyReport};
 pub use encode::{ClauseOrigin, NetworkSat, SatScratch};
