@@ -47,7 +47,8 @@
 //! are solved once serially and once through the portfolio
 //! (`RSN_THREADS`, at least 4 workers), and a `bench-sat-v1` JSON
 //! document (per-row wall-clock, conflicts, verdict agreement and
-//! speedup) is written to PATH. Defaults to `u226` + `p93791` when no
+//! speedup, plus the portfolio side's seconds in elimination and in the
+//! race) is written to PATH. Defaults to `u226` + `p93791` when no
 //! `--bench` is given.
 
 use std::collections::{HashMap, HashSet};
@@ -240,6 +241,8 @@ fn run_bench_sat(names: &[&str], path: &str) {
             let mut parallel = Json::obj();
             parallel.set("seconds", Json::Num(r.parallel_seconds));
             parallel.set("conflicts", Json::Num(r.parallel_conflicts as f64));
+            parallel.set("eliminate_s", Json::Num(r.parallel_eliminate_seconds));
+            parallel.set("race_s", Json::Num(r.parallel_race_seconds));
             let mut row = Json::obj();
             row.set("name", Json::Str(r.name.clone()));
             row.set("family", Json::Str(r.family.to_string()));

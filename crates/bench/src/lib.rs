@@ -205,20 +205,55 @@ pub struct SatBenchRow {
     pub parallel_seconds: f64,
     /// Conflicts spent by the portfolio solve (all workers).
     pub parallel_conflicts: u64,
+    /// Seconds of the portfolio solve spent in bounded variable
+    /// elimination (its `sat_eliminate` spans).
+    pub parallel_eliminate_seconds: f64,
+    /// Seconds of the portfolio solve spent in the race, or in the
+    /// serial loop that ends a race of width 1 (its `sat_race` spans).
+    pub parallel_race_seconds: f64,
     /// Both sides reached the same verdict.
     pub agreement: bool,
     /// `serial_seconds / parallel_seconds`.
     pub speedup: f64,
 }
 
-/// Runs `f` and returns its result plus wall-clock seconds and the
-/// `sat.conflicts` delta it caused.
-fn timed_sat<T>(f: impl FnOnce() -> T) -> (T, f64, u64) {
+/// What one timed SAT workload cost.
+#[derive(Debug, Clone, Copy)]
+struct SatCost {
+    /// Wall-clock seconds.
+    seconds: f64,
+    /// The `sat.conflicts` delta.
+    conflicts: u64,
+    /// Seconds spent in `sat_eliminate` spans.
+    eliminate_seconds: f64,
+    /// Seconds spent in `sat_race` spans.
+    race_seconds: f64,
+}
+
+/// Seconds recorded so far in the spans named `step` (the last path
+/// component), wherever they nest.
+fn step_seconds(step: &str) -> f64 {
+    rsn_obs::span_snapshot()
+        .iter()
+        .filter(|(path, _)| path.rsplit('/').next() == Some(step))
+        .map(|(_, stat)| stat.total_ns as f64 / 1e9)
+        .sum()
+}
+
+/// Runs `f` and returns its result plus what it cost.
+fn timed_sat<T>(f: impl FnOnce() -> T) -> (T, SatCost) {
     let before = rsn_obs::counter_get("sat.conflicts");
+    let (elim0, race0) = (step_seconds("sat_eliminate"), step_seconds("sat_race"));
     let t0 = Instant::now();
     let out = f();
     let seconds = t0.elapsed().as_secs_f64();
-    (out, seconds, rsn_obs::counter_get("sat.conflicts") - before)
+    let cost = SatCost {
+        seconds,
+        conflicts: rsn_obs::counter_get("sat.conflicts") - before,
+        eliminate_seconds: step_seconds("sat_eliminate") - elim0,
+        race_seconds: step_seconds("sat_race") - race0,
+    };
+    (out, cost)
 }
 
 fn sat_row(
@@ -226,8 +261,8 @@ fn sat_row(
     family: &'static str,
     instance: String,
     threads: usize,
-    serial: (f64, u64),
-    parallel: (f64, u64),
+    serial: SatCost,
+    parallel: SatCost,
     agreement: bool,
 ) -> SatBenchRow {
     SatBenchRow {
@@ -235,12 +270,14 @@ fn sat_row(
         family,
         instance,
         threads,
-        serial_seconds: serial.0,
-        serial_conflicts: serial.1,
-        parallel_seconds: parallel.0,
-        parallel_conflicts: parallel.1,
+        serial_seconds: serial.seconds,
+        serial_conflicts: serial.conflicts,
+        parallel_seconds: parallel.seconds,
+        parallel_conflicts: parallel.conflicts,
+        parallel_eliminate_seconds: parallel.eliminate_seconds,
+        parallel_race_seconds: parallel.race_seconds,
         agreement,
-        speedup: serial.0 / parallel.0.max(1e-9),
+        speedup: serial.seconds / parallel.seconds.max(1e-9),
     }
 }
 
@@ -277,13 +314,13 @@ fn hardest_equivalent_pair(
         let b = rsn_fault::effect_of(rsn, &faults[j], profile);
         let mut miter = rsn_bmc::FaultDistinguisher::new(rsn, steps, &a, &b);
         let probe = Budget::unlimited().with_work_limit(MITER_PROBE_QUOTA);
-        let (verdict, _, conflicts) = timed_sat(|| miter.distinguishable_under(&probe));
+        let (verdict, cost) = timed_sat(|| miter.distinguishable_under(&probe));
         let survived = matches!(verdict, rsn_bmc::Distinguishability::Unknown { .. });
         if survived {
             return Some((a, b, format!("fault pair ({i}, {j}), {steps} steps")));
         }
-        if best.is_none_or(|(c, _, _)| conflicts > c) {
-            best = Some((conflicts, i, j));
+        if best.is_none_or(|(c, _, _)| cost.conflicts > c) {
+            best = Some((cost.conflicts, i, j));
         }
     }
     let (_, i, j) = best?;
@@ -321,8 +358,8 @@ pub fn bench_sat(name: &str, threads: usize) -> Vec<SatBenchRow> {
         };
         timed_sat(|| rsn_verify::verify_with(&rsn, opts))
     };
-    let (serial_report, ss, sc) = verify_at(1);
-    let (parallel_report, ps, pc) = verify_at(threads);
+    let (serial_report, serial) = verify_at(1);
+    let (parallel_report, parallel) = verify_at(threads);
     rows.push(sat_row(
         name,
         "verify",
@@ -332,8 +369,8 @@ pub fn bench_sat(name: &str, threads: usize) -> Vec<SatBenchRow> {
             serial_report.sat_queries
         ),
         threads,
-        (ss, sc),
-        (ps, pc),
+        serial,
+        parallel,
         serial_report.error_count() == parallel_report.error_count()
             && serial_report.warning_count() == parallel_report.warning_count()
             && serial_report.is_complete() == parallel_report.is_complete(),
@@ -354,15 +391,15 @@ pub fn bench_sat(name: &str, threads: usize) -> Vec<SatBenchRow> {
             miter.set_threads(n);
             timed_sat(move || miter.distinguishable_under(&Budget::unlimited()))
         };
-        let (serial_verdict, ss, sc) = solve(1);
-        let (parallel_verdict, ps, pc) = solve(threads);
+        let (serial_verdict, serial) = solve(1);
+        let (parallel_verdict, parallel) = solve(threads);
         sat_row(
             name,
             family,
             instance,
             threads,
-            (ss, sc),
-            (ps, pc),
+            serial,
+            parallel,
             serial_verdict == parallel_verdict,
         )
     };

@@ -5,7 +5,10 @@
 //! propositional logic and decides scan-segment accessibility by unrolling
 //! the transition relation `T` (eq. 1) for `n + 1` CSU operations:
 //!
-//! * one SAT variable per shadow-register bit per time step,
+//! * one SAT variable per *control* bit per time step — a shadow bit that
+//!   some segment select, update-disable predicate or mux address reads;
+//!   no clause reads any other bit (instrument data), so every value of
+//!   it extends every model and it gets no variable,
 //! * a structural *on-path* predicate per node per step (the backward
 //!   trace from the scan-out port through configured multiplexers),
 //! * configuration validity (`Select(c, s) ⇔ s on the active path`,
@@ -13,10 +16,11 @@
 //! * the transition relation: a shadow register may only change if its
 //!   segment is active and update is not disabled,
 //! * the three fault extensions of Sec. III-A: stuck-at constraints on
-//!   registers and signals, an adapted transition relation (a fault on the
-//!   active path propagates its stuck value into subsequent updatable
-//!   registers — encoded via per-node *taint* literals), and access
-//!   conditions that require a clean final path through the target.
+//!   registers and signals (a stuck shadow cell is a constant and ignores
+//!   writes), an adapted transition relation (a fault on the active path
+//!   propagates its stuck value into subsequent updatable registers —
+//!   encoded via per-node *taint* literals), and access conditions that
+//!   require a clean final path through the target.
 //!
 //! The BMC engine is the reference semantics used to cross-validate the
 //! fast structural engine of `rsn-fault` on small networks; it is
@@ -110,6 +114,12 @@ impl BmcChecker {
     ///
     /// Panics if the network has secondary scan ports (not modeled).
     pub fn with_fault(rsn: &Rsn, steps: usize, effect: &FaultEffect) -> Self {
+        Self::build(rsn, steps, effect, &read_bits(rsn))
+    }
+
+    /// [`BmcChecker::with_fault`] with the shadow bits that get literals
+    /// given by `keep` (a superset of [`read_bits`]).
+    fn build(rsn: &Rsn, steps: usize, effect: &FaultEffect, keep: &[bool]) -> Self {
         assert!(
             rsn.secondary_scan_in().is_none() && rsn.secondary_scan_out().is_none(),
             "BMC models networks without secondary scan ports"
@@ -120,7 +130,7 @@ impl BmcChecker {
         let inputs: Vec<Vec<Lit>> = (0..=steps)
             .map(|_| (0..rsn.num_inputs()).map(|_| cnf.new_lit()).collect())
             .collect();
-        let u = encode_unrolling(&mut cnf, rsn, steps, effect, &inputs, None);
+        let u = encode_unrolling(&mut cnf, rsn, steps, effect, &inputs, None, keep);
 
         let mut checker = BmcChecker {
             cnf,
@@ -156,6 +166,33 @@ struct Unrolling {
     taint: Vec<Vec<Lit>>,
 }
 
+/// Per shadow bit (config-bit order): `true` if a segment select or
+/// update-disable predicate or a mux address reads it. Nothing else is
+/// encoded, so an unread bit's chain (reset, freeze, latch) always
+/// extends a model: it gets no literal, and a register with no read bit
+/// gets no transition gates.
+fn read_bits(rsn: &Rsn) -> Vec<bool> {
+    let mut refs = Vec::new();
+    for s in rsn.segments() {
+        let seg = rsn.node(s).as_segment().expect("segment");
+        seg.select.collect_reg_refs(&mut refs);
+        seg.update_disable.collect_reg_refs(&mut refs);
+    }
+    for m in rsn.muxes() {
+        for e in &rsn.node(m).as_mux().expect("mux").addr_bits {
+            e.collect_reg_refs(&mut refs);
+        }
+    }
+    let mut read = vec![false; rsn.shadow_bits() as usize];
+    for (node, bit) in refs {
+        let off = rsn
+            .shadow_offset(node)
+            .expect("validated control reference");
+        read[(off + bit) as usize] = true;
+    }
+    read
+}
+
 /// Encodes one copy of the faulty network model into `cnf`.
 ///
 /// `inputs[t]` are the per-step primary-input literals, supplied by the
@@ -167,45 +204,51 @@ struct Unrolling {
 /// diverge through their fault effects. `None` leaves clean writes
 /// unconstrained, the classic accessibility semantics where the tester
 /// may shift in anything.
+///
+/// Only the shadow bits flagged in `keep` get literals (and `data` needs
+/// entries only for those); `keep` must cover [`read_bits`].
 fn encode_unrolling(
     cnf: &mut CnfBuilder,
     rsn: &Rsn,
     steps: usize,
     effect: &FaultEffect,
     inputs: &[Vec<Lit>],
-    data: Option<&[Vec<Lit>]>,
+    data: Option<&[Vec<Option<Lit>>]>,
+    keep: &[bool],
 ) -> Unrolling {
     let n_bits = rsn.shadow_bits() as usize;
     let n_nodes = rsn.node_count();
 
-    // Shadow-register bit literals per step.
-    let bits: Vec<Vec<Lit>> = (0..=steps)
-        .map(|_| (0..n_bits).map(|_| cnf.new_lit()).collect())
-        .collect();
-
-    // Forced control bits (stuck shadow cells): constant at all steps.
+    // Stuck shadow cells hold their value at every step and ignore
+    // writes, so a pinned bit is a constant and has no transition.
+    let mut pinned: Vec<Option<bool>> = vec![None; n_bits];
     for (&(node, bit), &value) in &effect.forced_bits {
         if let Some(off) = rsn.shadow_offset(node) {
-            for step_bits in &bits {
-                let l = step_bits[(off + bit) as usize];
-                cnf.assert_lit(if value { l } else { !l });
-            }
+            pinned[(off + bit) as usize] = Some(value);
         }
     }
 
-    // Initial configuration = reset.
+    // Shadow-register bit literals per step, for the kept bits only.
+    let bits: Vec<Vec<Option<Lit>>> = (0..=steps)
+        .map(|_| {
+            (0..n_bits)
+                .map(|i| {
+                    keep[i].then(|| match pinned[i] {
+                        Some(value) => cnf.constant(value),
+                        None => cnf.new_lit(),
+                    })
+                })
+                .collect()
+        })
+        .collect();
+
+    // Initial configuration = reset (a stuck cell never held the reset
+    // value, so pinning wins).
     let reset = rsn.reset_config();
-    for (i, &l) in bits[0].iter().enumerate() {
-        // Skip bits pinned by the fault (already asserted; pinning wins
-        // over reset, as a stuck cell never held the reset value).
-        let pinned = effect.forced_bits.iter().any(|(&(node, bit), _)| {
-            rsn.shadow_offset(node).map(|off| (off + bit) as usize) == Some(i)
-        });
-        if pinned {
-            continue;
+    for (i, l) in bits[0].iter().enumerate() {
+        if let (Some(l), None) = (*l, pinned[i]) {
+            cnf.assert_lit(if reset.bit(i) { l } else { !l });
         }
-        let l = if reset.bit(i) { l } else { !l };
-        cnf.assert_lit(l);
     }
 
     // Corruption lookup.
@@ -220,11 +263,10 @@ fn encode_unrolling(
     let mut taint: Vec<Vec<Lit>> = Vec::with_capacity(steps + 1);
 
     for t in 0..=steps {
-        let step_bits = &bits[t];
         // Encode a ControlExpr at this step.
         let ctx = ExprCtx {
             rsn,
-            bits: step_bits,
+            bits: &bits[t],
             inputs: &inputs[t],
         };
 
@@ -336,41 +378,47 @@ fn encode_unrolling(
     }
 
     // Transition relation between consecutive steps (eq. 1 with the
-    // adapted fault semantics).
+    // adapted fault semantics), for the registers with a free kept bit.
+    let registers: Vec<(NodeId, Vec<usize>)> = rsn
+        .segments()
+        .filter_map(|s| {
+            let off = rsn.shadow_offset(s)? as usize;
+            let free: Vec<usize> = (off..off + rsn.shadow_len(s) as usize)
+                .filter(|&i| keep[i] && pinned[i].is_none())
+                .collect();
+            (!free.is_empty()).then_some((s, free))
+        })
+        .collect();
+    let stuck = stuck_value(effect).map(|v| cnf.constant(v));
     for t in 0..steps {
-        for s in rsn.segments() {
-            let seg = rsn.node(s).as_segment().expect("segment");
-            if !seg.has_shadow {
-                continue;
-            }
-            let off = rsn.shadow_offset(s).expect("has shadow");
-            let ctx = ExprCtx {
-                rsn,
-                bits: &bits[t],
-                inputs: &inputs[t],
-            };
+        let ctx = ExprCtx {
+            rsn,
+            bits: &bits[t],
+            inputs: &inputs[t],
+        };
+        for (s, free) in &registers {
+            let seg = rsn.node(*s).as_segment().expect("segment");
             let updis = ctx.encode(&mut *cnf, &seg.update_disable);
             let active = onpath[t][s.index()];
             // frozen := ¬active ∨ updis  → registers keep their value.
             let frozen = cnf.or([!active, updis]);
             let tainted = taint[t][s.index()];
-            for b in 0..seg.length {
-                let cur = bits[t][(off + b) as usize];
-                let next = bits[t + 1][(off + b) as usize];
+            // Adapted transition: a tainted active write forces the
+            // stuck value into the register.
+            let writing = stuck.map(|v| (cnf.and([active, !updis, tainted]), v));
+            // Shared-stimulus mode: a clean active write latches the
+            // shared shift datum, so the trajectory is a function of
+            // (inputs, data) alone.
+            let clean_write = data.map(|d| (cnf.and([active, !updis, !tainted]), &d[t]));
+            for &i in free {
+                let cur = bits[t][i].expect("kept bit");
+                let next = bits[t + 1][i].expect("kept bit");
                 cnf.assert_eq_if(frozen, cur, next);
-                // Adapted transition: a tainted active write forces the
-                // stuck value into the register.
-                if let Some(stuck) = stuck_value(effect) {
-                    let writing = cnf.and([active, !updis, tainted]);
-                    let stuck_lit = cnf.constant(stuck);
-                    cnf.assert_eq_if(writing, next, stuck_lit);
+                if let Some((writing, v)) = writing {
+                    cnf.assert_eq_if(writing, next, v);
                 }
-                // Shared-stimulus mode: a clean active write latches
-                // the shared shift datum, so the trajectory is a
-                // function of (inputs, data) alone.
-                if let Some(data) = data {
-                    let clean_write = cnf.and([active, !updis, !tainted]);
-                    cnf.assert_eq_if(clean_write, next, data[t][(off + b) as usize]);
+                if let Some((clean_write, datum)) = clean_write {
+                    cnf.assert_eq_if(clean_write, next, datum[i].expect("kept bit"));
                 }
             }
         }
@@ -452,14 +500,16 @@ pub enum Distinguishability {
 ///
 /// The miter unrolls the faulty transition relation of
 /// [`BmcChecker::with_fault`] twice into one CNF, sharing the per-step
-/// primary-input and shift-datum literals; each machine's trajectory is
-/// then a function of the stimulus and can only diverge through the fault
-/// effects themselves. A `Sat` answer is a distinguishing test; `Unsat`
-/// proves the pair equivalent within the bound — for two effects from the same
-/// collapse class the solver must effectively re-derive the structural
-/// equivalence argument, which makes these by far the hardest SAT
-/// instances in the workload (and the benchmark family exercised by
-/// `table1 --bench-sat`).
+/// primary-input and shift-datum literals (the latter for control bits
+/// only); each machine's trajectory is then a function of the stimulus
+/// and can only diverge through the fault effects themselves. A stuck
+/// shadow cell ignores writes: it holds its stuck value whatever datum
+/// the other machine latches into the same cell. A `Sat` answer is a
+/// distinguishing test; `Unsat` proves the pair equivalent within the
+/// bound — for two effects from the same collapse class the solver must
+/// effectively re-derive the structural equivalence argument, which
+/// makes these by far the hardest SAT instances in the workload (and the
+/// benchmark family exercised by `table1 --bench-sat`).
 ///
 /// # Example
 ///
@@ -498,22 +548,27 @@ impl FaultDistinguisher {
     ///
     /// Panics if the network has secondary scan ports (not modeled).
     pub fn new(rsn: &Rsn, steps: usize, a: &FaultEffect, b: &FaultEffect) -> Self {
+        Self::build(rsn, steps, a, b, &read_bits(rsn))
+    }
+
+    /// [`FaultDistinguisher::new`] with the shadow bits that get literals
+    /// given by `keep` (a superset of [`read_bits`]).
+    fn build(rsn: &Rsn, steps: usize, a: &FaultEffect, b: &FaultEffect, keep: &[bool]) -> Self {
         assert!(
             rsn.secondary_scan_in().is_none() && rsn.secondary_scan_out().is_none(),
             "BMC models networks without secondary scan ports"
         );
         let mut cnf = CnfBuilder::new();
         // The shared stimulus: primary inputs per step, plus the shift
-        // datum each register would latch on a clean active write.
+        // datum each kept bit would latch on a clean active write.
         let inputs: Vec<Vec<Lit>> = (0..=steps)
             .map(|_| (0..rsn.num_inputs()).map(|_| cnf.new_lit()).collect())
             .collect();
-        let n_bits = rsn.shadow_bits() as usize;
-        let data: Vec<Vec<Lit>> = (0..steps)
-            .map(|_| (0..n_bits).map(|_| cnf.new_lit()).collect())
+        let data: Vec<Vec<Option<Lit>>> = (0..steps)
+            .map(|_| keep.iter().map(|&k| k.then(|| cnf.new_lit())).collect())
             .collect();
-        let ua = encode_unrolling(&mut cnf, rsn, steps, a, &inputs, Some(&data));
-        let ub = encode_unrolling(&mut cnf, rsn, steps, b, &inputs, Some(&data));
+        let ua = encode_unrolling(&mut cnf, rsn, steps, a, &inputs, Some(&data), keep);
+        let ub = encode_unrolling(&mut cnf, rsn, steps, b, &inputs, Some(&data), keep);
 
         // Observable divergence at any step: a segment on exactly one
         // active path (the streams differ in composition/length), or a
@@ -603,7 +658,8 @@ fn stuck_value(effect: &FaultEffect) -> Option<bool> {
 
 struct ExprCtx<'a> {
     rsn: &'a Rsn,
-    bits: &'a [Lit],
+    /// Per shadow bit: its literal if kept (every read bit is).
+    bits: &'a [Option<Lit>],
     inputs: &'a [Lit],
 }
 
@@ -616,7 +672,7 @@ impl ExprCtx<'_> {
                     .rsn
                     .shadow_offset(*node)
                     .expect("validated control reference");
-                self.bits[(off + bit) as usize]
+                self.bits[(off + bit) as usize].expect("read bits are kept")
             }
             // Primary inputs are free per step but consistent within it.
             ControlExpr::Input(i) => self.inputs[i.0 as usize],
@@ -837,5 +893,93 @@ mod tests {
             checker.accessible_under(a, &Budget::unlimited()),
             Verdict::Accessible
         );
+    }
+
+    /// The unhardened effect of every fault of `rsn`, in universe order.
+    fn all_effects(rsn: &Rsn) -> Vec<FaultEffect> {
+        let profile = HardeningProfile::unhardened();
+        fault_universe(rsn)
+            .iter()
+            .map(|f| effect_of(rsn, f, profile))
+            .collect()
+    }
+
+    fn num_vars(cnf: &CnfBuilder) -> usize {
+        cnf.solver().num_vars()
+    }
+
+    #[test]
+    fn data_bits_never_reach_the_encoding() {
+        // The two trees differ only in the width of their leaf (data)
+        // registers, so both encodings must be the same size.
+        let narrow = sib_tree(2, 2, 4);
+        let wide = sib_tree(2, 2, 4096);
+        let (en, ew) = (all_effects(&narrow), all_effects(&wide));
+        assert_eq!(en, ew, "same fault universe and effects");
+        let unlimited = Budget::unlimited();
+        for i in 0..en.len() {
+            let mut cn = BmcChecker::with_fault(&narrow, 3, &en[i]);
+            let mut cw = BmcChecker::with_fault(&wide, 3, &ew[i]);
+            assert_eq!(num_vars(&cn.cnf), num_vars(&cw.cnf), "checker, fault {i}");
+            for s in narrow.segments() {
+                assert_eq!(
+                    cn.accessible_under(s, &unlimited),
+                    cw.accessible_under(s, &unlimited),
+                    "fault {i} segment {}",
+                    narrow.node(s).name()
+                );
+            }
+            let j = (i + 1) % en.len();
+            let mut mn = FaultDistinguisher::new(&narrow, 3, &en[i], &en[j]);
+            let mut mw = FaultDistinguisher::new(&wide, 3, &ew[i], &ew[j]);
+            assert_eq!(num_vars(&mn.cnf), num_vars(&mw.cnf), "miter ({i}, {j})");
+            assert_eq!(
+                mn.distinguishable_under(&unlimited),
+                mw.distinguishable_under(&unlimited),
+                "miter ({i}, {j})"
+            );
+        }
+    }
+
+    #[test]
+    fn kept_bits_checker_agrees_with_every_bit_kept() {
+        let unlimited = Budget::unlimited();
+        for (rsn, steps) in [(fig2(), 2), (chain(3, 2), 2), (sib_tree(2, 2, 3), 3)] {
+            let every = vec![true; rsn.shadow_bits() as usize];
+            for (i, effect) in all_effects(&rsn).iter().enumerate() {
+                let mut kept = BmcChecker::with_fault(&rsn, steps, effect);
+                let mut full = BmcChecker::build(&rsn, steps, effect, &every);
+                assert!(num_vars(&kept.cnf) < num_vars(&full.cnf));
+                for s in rsn.segments() {
+                    assert_eq!(
+                        kept.accessible_under(s, &unlimited),
+                        full.accessible_under(s, &unlimited),
+                        "{} fault {i} segment {}",
+                        rsn.name(),
+                        rsn.node(s).name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_bits_miter_agrees_with_every_bit_kept() {
+        let rsn = fig2();
+        let every = vec![true; rsn.shadow_bits() as usize];
+        let effects = all_effects(&rsn);
+        let unlimited = Budget::unlimited();
+        for i in 0..effects.len() {
+            for j in i + 1..effects.len() {
+                let (a, b) = (&effects[i], &effects[j]);
+                let mut kept = FaultDistinguisher::new(&rsn, 3, a, b);
+                let mut full = FaultDistinguisher::build(&rsn, 3, a, b, &every);
+                assert_eq!(
+                    kept.distinguishable_under(&unlimited),
+                    full.distinguishable_under(&unlimited),
+                    "faults ({i}, {j})"
+                );
+            }
+        }
     }
 }

@@ -34,6 +34,10 @@
 //! cannot run simultaneously only time-slice one core. A width of 1 ends
 //! the ladder with the serial loop instead.
 //!
+//! Steps 2 and 3 run under the rsn-obs spans `sat_eliminate` and
+//! `sat_race`. Both open only after the burst quota trips, so the
+//! queries the burst decides pay nothing for them.
+//!
 //! The winner's solver is copied back into the caller's, so models
 //! ([`Solver::value`]), failed-assumption cores ([`Solver::core`]) and
 //! incremental re-solving behave exactly as after a serial solve. If
@@ -279,6 +283,9 @@ fn run_portfolio(
     // its burst learnts either way — later incremental solves see the
     // exact clause database they would after a serial run.
     if inprocess && !base.unsat_latched() {
+        // Covers elimination and the reduced solver's construction; the
+        // reduced solve below is timed by its own ladder's spans.
+        let span = rsn_obs::Span::enter("sat_eliminate");
         let frozen: Vec<Var> = assumptions.iter().map(|l| l.var()).collect();
         let elim =
             crate::eliminate::eliminate(base.root_clauses(false), base.num_vars(), &frozen, budget);
@@ -303,6 +310,7 @@ fn run_portfolio(
                     red.add_clause(c);
                 }
             }
+            drop(span);
             let sub = run_portfolio(
                 &mut red,
                 assumptions,
@@ -341,6 +349,8 @@ fn run_portfolio(
     }
 
     // ---- Clause-sharing race -----------------------------------------
+    // One span for the race or the serial loop that replaces it.
+    let _span = rsn_obs::Span::enter("sat_race");
     // Captured after the burst: workers clone `base` from this point, so
     // loser flow-deltas in `adopt` must not re-count burst work.
     let before = base.stats();
@@ -668,6 +678,38 @@ mod tests {
         let (a, b) = (Var(0), Var(1));
         s.add_clause([ln(a), lp(b)]);
         (s, [lp(a), ln(b)])
+    }
+
+    /// Calls recorded for the span at `path`.
+    fn span_calls(path: &str) -> u64 {
+        rsn_obs::span_snapshot().get(path).map_or(0, |s| s.calls)
+    }
+
+    #[test]
+    fn ladder_spans_open_only_past_the_burst() {
+        // Each case runs under its own top-level span, so tests running
+        // concurrently never record under its paths.
+        {
+            let _parent = rsn_obs::Span::enter("burst_query");
+            let mut s = pigeonhole(4);
+            let out = solve_on(&mut s, &[], &Budget::unlimited(), 2);
+            assert_eq!(out, SolveOutcome::Unsat);
+        }
+        assert!(span_calls("burst_query") > 0);
+        assert_eq!(span_calls("burst_query/sat_eliminate"), 0);
+        assert_eq!(span_calls("burst_query/sat_race"), 0);
+        {
+            // Eliminated, then the reduced instance outlives its own
+            // burst and finishes serially: the race span is a sibling of
+            // the elimination span, not its child.
+            let _parent = rsn_obs::Span::enter("escalated_query");
+            let mut s = tseitin_chain();
+            let pool = ClausePool::new(POOL_CAPACITY);
+            let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 1, &pool, 10, true);
+            assert_eq!(run.outcome, SolveOutcome::Unsat);
+        }
+        assert_eq!(span_calls("escalated_query/sat_eliminate"), 1);
+        assert_eq!(span_calls("escalated_query/sat_race"), 1);
     }
 
     #[test]
