@@ -43,8 +43,8 @@
 //! run a BMC spot check so SAT solver statistics appear in the report.
 //!
 //! With `--bench-sat PATH`, only the SAT-engine comparison runs: each
-//! selected benchmark's verify run and fault-distinguishability miters
-//! are solved once serially and once through the portfolio
+//! selected benchmark's fault-distinguishability miters are solved
+//! once serially and once through the portfolio
 //! (`RSN_THREADS`, at least 4 workers), and a `bench-sat-v1` JSON
 //! document (per-row wall-clock, conflicts, verdict agreement and
 //! speedup, plus the portfolio side's seconds in elimination and in the

@@ -191,7 +191,7 @@ pub const BENCHMARKS: [&str; 13] = [
 pub struct SatBenchRow {
     /// Benchmark name.
     pub name: String,
-    /// Workload family: `verify`, `miter-equivalent` or `miter-distinct`.
+    /// Workload family: `miter-equivalent` or `miter-distinct`.
     pub family: &'static str,
     /// Human-readable description of the concrete instance.
     pub instance: String,
@@ -332,11 +332,10 @@ fn hardest_equivalent_pair(
 }
 
 /// Measures the SAT engine serial vs portfolio on one embedded
-/// benchmark: the full verify run (the phase-0 no-regression guard) and
-/// the two fault-distinguishability miter families — the hardest
-/// same-class pair (UNSAT, search-hard) and the first cross-class pair
-/// (SAT). Sets the `sat.parallel_speedup` gauge to the hard row's
-/// ratio.
+/// benchmark's fault-distinguishability miters, the only queries that
+/// reach the portfolio: the hardest same-class pair (UNSAT,
+/// search-hard) and the first cross-class pair (SAT). Sets the
+/// `sat.parallel_speedup` gauge to the hard row's ratio.
 ///
 /// # Panics
 ///
@@ -348,37 +347,9 @@ pub fn bench_sat(name: &str, threads: usize) -> Vec<SatBenchRow> {
     let steps = soc.depth() + 1;
     let mut rows = Vec::new();
 
-    // Family 1: the full static + SAT verify run. Its queries decide in
-    // the portfolio's serial phase 0, so this row documents that easy
-    // workloads pay (approximately) nothing for the parallel plumbing.
-    let verify_at = |n: usize| {
-        let opts = rsn_verify::VerifyOptions {
-            solver_threads: n,
-            ..rsn_verify::VerifyOptions::default()
-        };
-        timed_sat(|| rsn_verify::verify_with(&rsn, opts))
-    };
-    let (serial_report, serial) = verify_at(1);
-    let (parallel_report, parallel) = verify_at(threads);
-    rows.push(sat_row(
-        name,
-        "verify",
-        format!(
-            "{} check families, {} SAT queries",
-            serial_report.checks_run.len(),
-            serial_report.sat_queries
-        ),
-        threads,
-        serial,
-        parallel,
-        serial_report.error_count() == parallel_report.error_count()
-            && serial_report.warning_count() == parallel_report.warning_count()
-            && serial_report.is_complete() == parallel_report.is_complete(),
-    ));
-
-    // Families 2 and 3: fault-distinguishability miters. Each timed
-    // solve gets a freshly built miter so learnt clauses cannot leak
-    // from the serial side into the portfolio side (or vice versa).
+    // Each timed solve gets a freshly built miter so learnt clauses
+    // cannot leak from the serial side into the portfolio side (or vice
+    // versa).
     let profile = HardeningProfile::unhardened();
     let faults = rsn_fault::fault_universe(&rsn);
     let classes = rsn_fault::FaultClasses::build(&rsn, &faults, profile);

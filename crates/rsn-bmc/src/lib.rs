@@ -94,8 +94,6 @@ pub struct BmcChecker {
     scan_out: NodeId,
     /// Number of CSU steps (the final configuration is step `steps`).
     steps: usize,
-    /// Solvable at all (false if the encoding derived a contradiction).
-    feasible: bool,
 }
 
 impl BmcChecker {
@@ -139,7 +137,6 @@ impl BmcChecker {
             local_loss: effect.local_loss.clone(),
             scan_out: rsn.scan_out(),
             steps,
-            feasible: true,
         };
         // Encoding size telemetry, keyed by unroll depth.
         rsn_obs::counter_add("bmc.builds", 1);
@@ -428,14 +425,6 @@ fn encode_unrolling(
 }
 
 impl BmcChecker {
-    /// Routes this checker's SAT queries through the portfolio solver
-    /// with `threads` workers. `1` (the default) keeps queries on the
-    /// bit-reproducible serial loop; see
-    /// [`rsn_sat::Solver::set_threads`].
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cnf.solver_mut().set_threads(threads);
-    }
-
     /// Decides accessibility of `target`: is there a sequence of `steps`
     /// valid CSU transitions after which the target lies on the active
     /// scan path and the path is clean end to end? The [`Budget`] is
@@ -444,11 +433,11 @@ impl BmcChecker {
     ///
     /// Exhaustion yields [`Verdict::Unknown`] carrying the unroll bound
     /// at which the query was left undecided; the checker stays usable
-    /// and the query can be retried with a fresh budget. Structural
-    /// short-circuits (infeasible encodings, local instrument loss) are
-    /// decided without consulting the budget.
+    /// and the query can be retried with a fresh budget. A segment that
+    /// loses its instrument to the fault is decided without consulting
+    /// the budget.
     pub fn accessible_under(&mut self, target: NodeId, budget: &Budget) -> Verdict {
-        if !self.feasible || self.local_loss.contains(&target) {
+        if self.local_loss.contains(&target) {
             return Verdict::Inaccessible;
         }
         let on = self.onpath[self.steps][target.index()];
@@ -605,7 +594,9 @@ impl FaultDistinguisher {
     }
 
     /// Routes the miter's SAT queries through the portfolio solver with
-    /// `threads` workers; see [`rsn_sat::Solver::set_threads`].
+    /// `threads` workers; see [`rsn_sat::Solver::set_threads`]. This is
+    /// the one way into the portfolio from outside rsn-sat: the miters
+    /// are the only queries that outlive its serial burst.
     pub fn set_threads(&mut self, threads: usize) {
         self.cnf.solver_mut().set_threads(threads);
     }

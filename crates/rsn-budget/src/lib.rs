@@ -318,8 +318,10 @@ impl CancelToken {
 /// Reads the `RSN_THREADS` environment variable (any integer ≥ 1);
 /// when unset or unparsable it falls back to
 /// [`std::thread::available_parallelism`], and to 1 when even that is
-/// unknown. Both the fault-sweep work-stealing scheduler and the SAT
-/// portfolio size their worker pools through this single knob, so one
+/// unknown. The fault-sweep work-stealing scheduler sizes its worker
+/// pool through this knob, and the miter benchmarks pass it to
+/// `FaultDistinguisher::set_threads`, the one way into the SAT
+/// portfolio (verification and BMC always solve serially). So one
 /// variable pins the whole process to a core budget (e.g. in CI or
 /// when benchmarking serial baselines).
 ///

@@ -9,7 +9,6 @@
 //! * [`Lit`] / [`Var`] — literal and variable handles ([`lit`]).
 //! * [`CnfBuilder`] — Tseitin encoding of circuits (AND/OR/NOT/XOR/ITE,
 //!   equality, at-most-one) on top of a solver ([`cnf`]).
-//! * DIMACS parsing and emission ([`dimacs`]).
 //! * Parallel solving — an escalation ladder for queries a serial burst
 //!   leaves undecided: bounded variable elimination, then a race of
 //!   diversified CDCL workers over a shared learnt-clause ring, reached
@@ -30,7 +29,6 @@
 //! ```
 
 pub mod cnf;
-pub mod dimacs;
 mod eliminate;
 pub mod lit;
 mod pool;

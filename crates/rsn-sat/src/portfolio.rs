@@ -5,8 +5,9 @@
 //! previous one left undecided:
 //!
 //! 1. **Serial burst** — the plain serial loop on the calling thread
-//!    under a small conflict quota. No clones, no spawns: the easy
-//!    queries that dominate the verify/BMC workloads pay nothing extra.
+//!    under a small conflict quota. No clones, no spawns: easy queries,
+//!    such as miters over two faults of different classes, pay nothing
+//!    extra.
 //! 2. **Bounded variable elimination** — NiVER-style elimination
 //!    ([`crate::eliminate`]) shrinks the Tseitin-heavy encodings, and
 //!    the reduced instance re-enters the ladder at the burst on a
@@ -35,8 +36,9 @@
 //! the ladder with the serial loop instead.
 //!
 //! Steps 2 and 3 run under the rsn-obs spans `sat_eliminate` and
-//! `sat_race`. Both open only after the burst quota trips, so the
-//! queries the burst decides pay nothing for them.
+//! `sat_race`. Both open only after the burst quota trips, and the
+//! clause pool is built only when the race starts, so the queries the
+//! burst decides pay nothing for either.
 //!
 //! The winner's solver is copied back into the caller's, so models
 //! ([`Solver::value`]), failed-assumption cores ([`Solver::core`]) and
@@ -56,11 +58,10 @@ use crate::pool::ClausePool;
 use crate::solver::{RestartSchedule, SearchConfig, SolveOutcome, Solver, Stats};
 
 /// Conflicts the calling thread spends on the plain serial search
-/// before any worker is spawned. Almost every query in the verify/BMC
-/// workloads decides within a few hundred conflicts — for those the
-/// portfolio must cost nothing beyond the serial loop (no solver
-/// clones, no thread spawns). Only instances that survive this burst
-/// are worth escalation.
+/// before any worker is spawned. Easy queries decide within a few
+/// hundred conflicts — for those the portfolio must cost nothing beyond
+/// the serial loop (no solver clones, no thread spawns, no clause
+/// pool). Only instances that survive this burst are worth escalation.
 const PHASE0_QUOTA: u64 = 3_000;
 
 /// Slots in the shared clause ring.
@@ -171,8 +172,8 @@ struct PortfolioRun {
 
 /// Entry point used by [`Solver::solve_with_under`] when `threads > 1`.
 /// The caller exports the counters every solve shares; this adds the
-/// portfolio's own: clause-pool traffic, eliminated variables and the
-/// decisive strategy.
+/// portfolio's own: eliminated variables and the decisive strategy
+/// (the race adds its clause-pool traffic itself).
 pub(crate) fn solve_portfolio(
     base: &mut Solver,
     assumptions: &[Lit],
@@ -183,10 +184,7 @@ pub(crate) fn solve_portfolio(
     // time-slices on the same silicon and multiplies wall-clock by the
     // worker count without pruning anything.
     let width = base.threads().min(cores());
-    let pool = ClausePool::new(POOL_CAPACITY);
-    let run = run_portfolio(base, assumptions, budget, width, &pool, PHASE0_QUOTA, true);
-    rsn_obs::counter_add("sat.pool_exports", pool.exports());
-    rsn_obs::counter_add("sat.pool_imports", pool.imports());
+    let run = run_portfolio(base, assumptions, budget, width, PHASE0_QUOTA, true);
     if run.eliminated > 0 {
         rsn_obs::counter_add("sat.eliminated_vars", run.eliminated);
     }
@@ -226,7 +224,6 @@ fn run_portfolio(
     assumptions: &[Lit],
     budget: &Budget,
     width: usize,
-    pool: &ClausePool,
     phase0_quota: u64,
     inprocess: bool,
 ) -> PortfolioRun {
@@ -247,7 +244,7 @@ fn run_portfolio(
     }
     // ---- Serial burst on the calling thread ---------------------------
     // Cloning the solver per worker and spawning threads costs far more
-    // than a typical verify/BMC query does in total, so the portfolio
+    // than an easy query does in total, so the portfolio
     // first runs the plain serial loop under a small conflict quota.
     // Easy queries (the overwhelming majority) decide here and pay
     // nothing; only quota survivors escalate.
@@ -311,15 +308,7 @@ fn run_portfolio(
                 }
             }
             drop(span);
-            let sub = run_portfolio(
-                &mut red,
-                assumptions,
-                budget,
-                width,
-                pool,
-                phase0_quota,
-                false,
-            );
+            let sub = run_portfolio(&mut red, assumptions, budget, width, phase0_quota, false);
             // The reduced solve's effort belongs to this logical solve.
             base.add_flow_stats(red.flow_delta_since(Stats::default()));
             base.merge_lbd_hist(&red.take_lbd_hist());
@@ -355,7 +344,7 @@ fn run_portfolio(
     // loser flow-deltas in `adopt` must not re-count burst work.
     let before = base.stats();
     if width > 1 {
-        let mut returns = run_race(base, assumptions, budget, width, pool);
+        let mut returns = run_race(base, assumptions, budget, width);
         if let Some(w) = returns.iter().position(|r| r.won) {
             let winner = returns.swap_remove(w);
             let outcome = winner.outcome;
@@ -383,24 +372,24 @@ fn run_portfolio(
 
 /// The race: `width` diversified clones of `base` search until a
 /// verdict, the budget's end or a sibling's win, sharing learnt clauses
-/// through `pool`; the first decisive worker claims the verdict and
-/// stops its siblings. Workers killed by the `sat.worker` failpoint are
-/// dropped.
+/// through a clause pool built here, so only solves that race pay for
+/// it; the first decisive worker claims the verdict and stops its
+/// siblings. Workers killed by the `sat.worker` failpoint are dropped.
 fn run_race(
     base: &Solver,
     assumptions: &[Lit],
     budget: &Budget,
     width: usize,
-    pool: &ClausePool,
 ) -> Vec<WorkerReturn> {
+    let pool = ClausePool::new(POOL_CAPACITY);
     let stop = AtomicBool::new(false);
     let claimed = AtomicBool::new(false);
-    std::thread::scope(|scope| {
+    let returns = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..width)
             .map(|i| {
                 let mut solver = base.clone();
                 solver.set_search_config(strategy(i).1);
-                let (stop, claimed, budget) = (&stop, &claimed, budget.clone());
+                let (stop, claimed, pool, budget) = (&stop, &claimed, &pool, budget.clone());
                 scope.spawn(move || {
                     // Chaos failpoint: `panic`/`delay` fire inside
                     // `eval`; an injected error aborts this worker only.
@@ -437,7 +426,10 @@ fn run_race(
             .into_iter()
             .filter_map(|h| h.join().ok().flatten())
             .collect()
-    })
+    });
+    rsn_obs::counter_add("sat.pool_exports", pool.exports());
+    rsn_obs::counter_add("sat.pool_imports", pool.imports());
+    returns
 }
 
 /// Copies the winning worker back into the caller's solver (keeping the
@@ -699,13 +691,25 @@ mod tests {
         assert_eq!(span_calls("burst_query/sat_eliminate"), 0);
         assert_eq!(span_calls("burst_query/sat_race"), 0);
         {
+            // A burst-decided solve builds no clause pool, so it records
+            // no pool traffic at all, not even a zero.
+            let scope = rsn_obs::ScopeHandle::new();
+            let _in_scope = scope.enter();
+            let mut s = pigeonhole(4);
+            let out = solve_on(&mut s, &[], &Budget::unlimited(), 2);
+            assert_eq!(out, SolveOutcome::Unsat);
+            let counters = scope.snapshot().counters;
+            assert!(counters.contains_key("sat.solves"));
+            assert!(!counters.contains_key("sat.pool_exports"), "{counters:?}");
+            assert!(!counters.contains_key("sat.pool_imports"), "{counters:?}");
+        }
+        {
             // Eliminated, then the reduced instance outlives its own
             // burst and finishes serially: the race span is a sibling of
             // the elimination span, not its child.
             let _parent = rsn_obs::Span::enter("escalated_query");
             let mut s = tseitin_chain();
-            let pool = ClausePool::new(POOL_CAPACITY);
-            let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 1, &pool, 10, true);
+            let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 1, 10, true);
             assert_eq!(run.outcome, SolveOutcome::Unsat);
         }
         assert_eq!(span_calls("escalated_query/sat_eliminate"), 1);
@@ -722,8 +726,7 @@ mod tests {
             let (mut s, clauses) = random_3sat(40, 160, 0x5eed_0000 + seed * 7919);
             let mut serial = s.clone();
             let expected = serial.solve();
-            let pool = ClausePool::new(POOL_CAPACITY);
-            let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 1, true);
+            let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, 1, true);
             assert_eq!(
                 run.outcome,
                 if expected {
@@ -753,8 +756,7 @@ mod tests {
         // core: elimination must resolve out the chain variables and the
         // reduced ladder must still refute the core.
         let mut s = tseitin_chain();
-        let pool = ClausePool::new(POOL_CAPACITY);
-        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, &pool, 10, true);
+        let run = run_portfolio(&mut s, &[], &Budget::unlimited(), 2, 10, true);
         assert_eq!(run.outcome, SolveOutcome::Unsat);
         assert_eq!(run.winner, Some("eliminate"));
         assert!(
@@ -772,16 +774,7 @@ mod tests {
         let (mut s, assumptions) = contradicting_assumptions();
         let mut serial = s.clone();
         assert!(!serial.solve_with(&assumptions));
-        let pool = ClausePool::new(POOL_CAPACITY);
-        let run = run_portfolio(
-            &mut s,
-            &assumptions,
-            &Budget::unlimited(),
-            2,
-            &pool,
-            1,
-            true,
-        );
+        let run = run_portfolio(&mut s, &assumptions, &Budget::unlimited(), 2, 1, true);
         assert_eq!(run.outcome, SolveOutcome::Unsat);
         let core = s.core().to_vec();
         assert!(!core.is_empty());
@@ -795,8 +788,8 @@ mod tests {
     #[test]
     fn one_wide_race_finishes_with_the_serial_loop() {
         // A race width of 1 (more threads than cores) ends the ladder
-        // with the serial loop: no worker spawns, so nothing reaches the
-        // pool, and every verdict matches the serial solver's.
+        // with the serial loop: no worker spawns, so no pool is built,
+        // and every verdict matches the serial solver's.
         let (asm_solver, asm) = contradicting_assumptions();
         let cases = [
             // Outlives the production burst; elimination off.
@@ -830,16 +823,18 @@ mod tests {
         ];
         for (name, mut s, assumptions, phase0_quota, inprocess, winner) in cases {
             let expected = s.clone().solve_with(&assumptions);
-            let pool = ClausePool::new(POOL_CAPACITY);
-            let run = run_portfolio(
-                &mut s,
-                &assumptions,
-                &Budget::unlimited(),
-                1,
-                &pool,
-                phase0_quota,
-                inprocess,
-            );
+            let scope = rsn_obs::ScopeHandle::new();
+            let run = {
+                let _in_scope = scope.enter();
+                run_portfolio(
+                    &mut s,
+                    &assumptions,
+                    &Budget::unlimited(),
+                    1,
+                    phase0_quota,
+                    inprocess,
+                )
+            };
             let verdict = if expected {
                 SolveOutcome::Sat
             } else {
@@ -847,7 +842,10 @@ mod tests {
             };
             assert_eq!(run.outcome, verdict, "{name}");
             assert_eq!(run.winner, Some(winner), "{name}");
-            assert_eq!(pool.exports(), 0, "{name}: no worker may spawn");
+            assert!(
+                !scope.snapshot().counters.contains_key("sat.pool_exports"),
+                "{name}: no worker may spawn"
+            );
             let core = s.core().to_vec();
             assert!(core.iter().all(|l| assumptions.contains(l)), "{name}");
             if !expected {

@@ -4,7 +4,7 @@
 //! xorshift-style generator so the workspace carries no external
 //! dependencies and every run exercises the same cases.
 
-use rsn_sat::{dimacs::Dimacs, CnfBuilder, Lit, Solver, Var};
+use rsn_sat::{CnfBuilder, Lit, Solver, Var};
 
 /// Deterministic splitmix64-style generator for reproducible cases.
 struct Rng(u64);
@@ -226,23 +226,6 @@ fn core_shrinking_keeps_the_hard_prefix() {
     assert_eq!(all.len(), 3);
 }
 
-#[test]
-fn dimacs_roundtrip_preserves_satisfiability() {
-    let mut rng = Rng(0x5eed_0003);
-    for _case in 0..64 {
-        let clauses = random_clauses(&mut rng, 6, 20);
-        let d = Dimacs {
-            num_vars: 6,
-            clauses: clauses.clone(),
-        };
-        let text = d.to_dimacs();
-        let d2 = Dimacs::parse(&text).expect("reparse");
-        let mut s1 = d.to_solver();
-        let mut s2 = d2.to_solver();
-        assert_eq!(s1.solve(), s2.solve(), "clauses {clauses:?}");
-    }
-}
-
 /// Random 3-SAT with three distinct variables per clause. The
 /// clause/variable ratio swings below and above the phase transition,
 /// so the generated suite contains both satisfiable and unsatisfiable
@@ -265,29 +248,8 @@ fn random_3sat(rng: &mut Rng, num_vars: u32, num_clauses: usize) -> Vec<Vec<Lit>
 }
 
 #[test]
-fn dimacs_emit_parse_emit_is_a_fixpoint() {
-    // One emit→parse trip must be enough: re-emitting the parsed
-    // instance reproduces the exact text, so DIMACS files written by
-    // this crate are stable under round-tripping.
-    let mut rng = Rng(0x5eed_0006);
-    for case in 0..64 {
-        let num_vars = 3 + (case % 8) as u32;
-        let clauses = random_3sat(&mut rng, num_vars, 4 + case % 32);
-        let d = Dimacs {
-            num_vars: num_vars as usize,
-            clauses,
-        };
-        let text = d.to_dimacs();
-        let reparsed = Dimacs::parse(&text).expect("emitted DIMACS must parse");
-        assert_eq!(reparsed.num_vars, d.num_vars);
-        assert_eq!(reparsed.clauses, d.clauses);
-        assert_eq!(reparsed.to_dimacs(), text, "emit∘parse is not a fixpoint");
-    }
-}
-
-#[test]
 fn portfolio_agrees_with_serial_on_parsed_3sat() {
-    // Every parsed instance solves to the same verdict serially and
+    // Every random instance solves to the same verdict serially and
     // under a 4-worker portfolio, and a 1-worker portfolio is
     // bit-identical to the serial loop (same verdict, same statistics).
     let budget = rsn_budget::Budget::unlimited();
@@ -299,14 +261,13 @@ fn portfolio_agrees_with_serial_on_parsed_3sat() {
         // (~4.26 · n) so both verdicts occur.
         let num_clauses = 16 + case;
         let clauses = random_3sat(&mut rng, num_vars, num_clauses);
-        let d = Dimacs {
-            num_vars: num_vars as usize,
-            clauses,
-        };
-        let text = d.to_dimacs();
-        let parsed = Dimacs::parse(&text).expect("parse");
-
-        let mut serial = parsed.to_solver();
+        let mut serial = Solver::new();
+        for _ in 0..num_vars {
+            serial.new_var();
+        }
+        for c in &clauses {
+            serial.add_clause(c.iter().copied());
+        }
         let mut one = serial.clone();
         let mut wide = serial.clone();
         one.set_threads(1);

@@ -39,22 +39,14 @@ pub struct ApiContext {
     pub breakers: Breakers,
     /// Worker threads per fault sweep.
     pub sweep_threads: usize,
-    /// Cap on SAT portfolio workers per request (`1` = serial only).
-    pub solver_threads: usize,
 }
 
 impl ApiContext {
-    pub fn new(
-        cache_cap: usize,
-        sweep_threads: usize,
-        solver_threads: usize,
-        breakers: BreakerConfig,
-    ) -> ApiContext {
+    pub fn new(cache_cap: usize, sweep_threads: usize, breakers: BreakerConfig) -> ApiContext {
         ApiContext {
             cache: ArtifactCache::new(cache_cap),
             breakers: Breakers::new(breakers),
             sweep_threads: sweep_threads.max(1),
-            solver_threads: solver_threads.max(1),
         }
     }
 }
@@ -179,20 +171,9 @@ fn lint(
         return resp;
     }
     let explain = matches!(spec.get("explain"), Some(Json::Bool(true)));
-    // Per-request portfolio width, capped by the server-wide
-    // `--solver-threads` limit (absent: the server cap itself).
-    let solver_threads = spec
-        .get("solver_threads")
-        .and_then(Json::as_f64)
-        .map(|t| (t as usize).clamp(1, ctx.solver_threads))
-        .unwrap_or(ctx.solver_threads);
     let artifacts = ctx.cache.get_or_insert(&rsn);
     let sat = artifacts.network_sat();
-    let opts = VerifyOptions {
-        solver_threads,
-        ..VerifyOptions::default()
-    };
-    let mut report = verify_on(artifacts.rsn(), &sat, opts, budget);
+    let mut report = verify_on(artifacts.rsn(), &sat, VerifyOptions::default(), budget);
     if explain {
         rsn_verify::explain_report(artifacts.rsn(), &sat, &mut report, budget);
     }

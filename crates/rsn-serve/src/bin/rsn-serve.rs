@@ -23,9 +23,6 @@ OPTIONS:
     --deadline-ms <MS>     per-request deadline, 0 = unlimited [default: 30000]
     --cache <N>            networks kept in the artifact cache [default: 16]
     --sweep-threads <N>    default threads per fault sweep [default: 2]
-    --solver-threads <N>   cap on SAT portfolio workers per request; the
-                           per-request `solver_threads` knob clamps to it
-                           [default: RSN_THREADS or the CPU count]
     --breaker-threshold <N>    consecutive failures opening a network's
                                circuit breaker [default: 3]
     --breaker-cooldown-ms <MS> how long an open breaker rejects before
@@ -33,8 +30,6 @@ OPTIONS:
     --help                 print this help
 
 ENVIRONMENT:
-    RSN_THREADS default worker-thread count for fault sweeps and the SAT
-                portfolio (see rsn_budget::default_threads)
     RSN_FAIL    chaos failpoint spec, e.g.
                 \"sat.solve=panic@0.3,42;serve.parse=err\"
                 (see the rsn-fail crate for the grammar)
@@ -63,9 +58,6 @@ fn main() -> ExitCode {
             "--cache" => opts.cache_cap = parse(&value("--cache"), "--cache"),
             "--sweep-threads" => {
                 opts.sweep_threads = parse(&value("--sweep-threads"), "--sweep-threads")
-            }
-            "--solver-threads" => {
-                opts.solver_threads = parse(&value("--solver-threads"), "--solver-threads")
             }
             "--breaker-threshold" => {
                 opts.breaker.threshold = parse(&value("--breaker-threshold"), "--breaker-threshold")

@@ -18,7 +18,7 @@
 //!
 //! | Route            | Body                                   | Result |
 //! |------------------|----------------------------------------|--------|
-//! | `POST /lint`     | network spec                           | verification report |
+//! | `POST /lint`     | network spec (+ explain)               | verification report |
 //! | `POST /sweep`    | network spec + profile/threads         | fault-sweep summary |
 //! | `POST /plan`     | network spec + target (+ fault_index)  | access plan |
 //! | `POST /synth`    | network spec                           | synthesis report |
@@ -28,7 +28,9 @@
 //! Network specs name a built-in example (`{"example": "fig2"}`), an
 //! ITC'02 benchmark (`{"soc": "p22810"}`), or inline SoC text
 //! (`{"soc_text": "..."}`); `"synthesize": true` runs fault-tolerant
-//! synthesis on the base network first.
+//! synthesis on the base network first. Unknown fields are ignored.
+//! `/lint` verifies with `VerifyOptions::default()` on the serial SAT
+//! loop, so its report equals a direct `verify_on` call's.
 //!
 //! [`AccessEngine`]: rsn_fault::AccessEngine
 //! [`NetworkSat`]: rsn_verify::NetworkSat

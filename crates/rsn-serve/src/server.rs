@@ -75,10 +75,6 @@ pub struct ServerOptions {
     pub cache_cap: usize,
     /// Threads per fault sweep (a request-level override caps at 64).
     pub sweep_threads: usize,
-    /// Cap on SAT portfolio workers per request; a request-level
-    /// `solver_threads` knob clamps to this. Defaults to
-    /// [`rsn_budget::default_threads`] (the `RSN_THREADS` env knob).
-    pub solver_threads: usize,
     /// Socket read timeout while receiving a request.
     pub read_timeout: Duration,
     /// Socket write timeout while sending a response (slowloris guard).
@@ -97,7 +93,6 @@ impl Default for ServerOptions {
             max_body: 8 * 1024 * 1024,
             cache_cap: 16,
             sweep_threads: 2,
-            solver_threads: rsn_budget::default_threads(),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             breaker: BreakerConfig::default(),
@@ -208,12 +203,7 @@ impl Server {
         let listener = TcpListener::bind(&opts.addr)?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
-            ctx: ApiContext::new(
-                opts.cache_cap,
-                opts.sweep_threads,
-                opts.solver_threads,
-                opts.breaker,
-            ),
+            ctx: ApiContext::new(opts.cache_cap, opts.sweep_threads, opts.breaker),
             opts,
             queue: Queue {
                 inner: Mutex::new(VecDeque::new()),

@@ -268,53 +268,6 @@ fn breaker_trips_on_repeated_panics_and_recovers() {
     shutdown(handle, thread);
 }
 
-/// SAT portfolio workers killed mid-solve (the `sat.worker` failpoint
-/// fires inside each spawned solver thread) must neither deadlock the
-/// request nor corrupt the verdict: the portfolio degrades to its
-/// in-thread serial fallback and the lint report stays clean and
-/// bit-identical to an unchaosed run.
-#[test]
-fn killed_sat_workers_keep_lint_verdicts_sound() {
-    let _guard = lock_chaos();
-    rsn_fail::clear();
-    let (addr, handle, thread) = start(2);
-    let spec = r#"{"example": "fig2", "solver_threads": 4}"#;
-
-    // Unchaosed baseline with the portfolio enabled.
-    let (status, baseline) = request_json(addr, "POST", "/lint", spec);
-    assert_eq!(status, 200, "portfolio lint: {baseline:?}");
-    assert_eq!(baseline.get("clean"), Some(&Json::Bool(true)));
-    let baseline = baseline.get("report").expect("report").to_string_pretty(0);
-
-    // Kill half the portfolio workers at birth, then every one of them:
-    // the verdict must not change either way.
-    for (probability, seed) in [(0.5, 31), (1.0, 32)] {
-        rsn_fail::configure(
-            "sat.worker",
-            rsn_fail::Action::Panic,
-            probability,
-            Some(seed),
-        );
-        let (status, json) = request_json(addr, "POST", "/lint", spec);
-        assert_eq!(status, 200, "p={probability}: {json:?}");
-        assert_eq!(
-            json.get("clean"),
-            Some(&Json::Bool(true)),
-            "p={probability}: chaos flipped the verdict: {json:?}"
-        );
-        assert_eq!(
-            json.get("report").expect("report").to_string_pretty(0),
-            baseline,
-            "p={probability}: report diverged under worker chaos"
-        );
-        let (status, health) = request_json(addr, "GET", "/healthz", "");
-        assert_eq!(status, 200, "healthz after sat.worker chaos: {health:?}");
-        rsn_fail::clear();
-    }
-
-    shutdown(handle, thread);
-}
-
 /// Worker threads killed between requests (the one place a panic
 /// escapes every guard) are respawned by the supervisor; no request is
 /// lost because the chaos point sits before the queue pop.

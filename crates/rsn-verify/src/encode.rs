@@ -102,13 +102,6 @@ impl SatScratch {
         self.queries
     }
 
-    /// Routes this scratch's queries through the portfolio solver with
-    /// `threads` workers (`1` = the exact serial loop). See
-    /// [`rsn_sat::Solver::set_threads`].
-    pub fn set_threads(&mut self, threads: usize) {
-        self.solver.set_threads(threads);
-    }
-
     /// Direct solver access for the explanation engine (core extraction,
     /// blocking clauses). Counts as zero queries; the engine reports its
     /// own metrics.

@@ -41,7 +41,8 @@ use rsn_core::Rsn;
 /// reachability and shadow-less address sources (`RSN006`–`RSN008`),
 /// multiplexer decode (`RSN003`–`RSN005`), shadow-controllability
 /// (`RSN010`) and cyclic control dependencies (`RSN009`), plus the select
-/// checks unless they are switched off.
+/// checks unless they are switched off. Every SAT query runs on the
+/// serial CDCL loop, so a report is bit-reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Per-segment select satisfiability and select/path agreement
@@ -49,18 +50,12 @@ pub struct VerifyOptions {
     /// never materialized (`SelectMode::Never` leaves constant-true
     /// placeholders); callers synthesizing such networks switch it off.
     pub select_checks: bool,
-    /// Solver threads for the SAT-backed families: `1` (the default)
-    /// keeps every query on the bit-reproducible serial CDCL loop,
-    /// larger values route queries through the portfolio solver
-    /// ([`rsn_sat::Solver::set_threads`]).
-    pub solver_threads: usize,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             select_checks: true,
-            solver_threads: 1,
         }
     }
 }
@@ -71,7 +66,6 @@ impl VerifyOptions {
     pub fn without_select_checks() -> Self {
         VerifyOptions {
             select_checks: false,
-            ..VerifyOptions::default()
         }
     }
 }
@@ -145,11 +139,7 @@ pub fn verify_on(
             report.incomplete.push(family);
             continue;
         }
-        let scr = scratch.get_or_insert_with(|| {
-            let mut s = sat.scratch();
-            s.set_threads(opts.solver_threads);
-            s
-        });
+        let scr = scratch.get_or_insert_with(|| sat.scratch());
         report.checks_run.push(family);
         report.diagnostics.extend(check(rsn, sat, scr));
     }
