@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! soc2rsn <input.soc | embedded-name> [--ft] [--out DIR]
-//!         [--solver auto|ilp|greedy] [--alpha F] [--no-ports]
-//!         [--report] [--lint]
+//!         [--alpha F] [--no-ports] [--report] [--lint]
 //! ```
 //!
 //! Writes `<name>.v` (structural Verilog) and `<name>.icl` (IEEE 1687
@@ -28,14 +27,13 @@ use rsn_export::{to_icl, to_verilog};
 use rsn_fault::{analyze, HardeningProfile};
 use rsn_itc02::{by_name, parse_soc};
 use rsn_sib::generate;
-use rsn_synth::{synthesize, SolverChoice, SynthesisOptions};
+use rsn_synth::{synthesize, SynthesisOptions};
 use rsn_verify::VerifyOptions;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: soc2rsn <input.soc | embedded-name> [--ft] [--out DIR] \
-         [--solver auto|ilp|greedy] [--alpha F] [--no-ports] [--report] \
-         [--lint]"
+         [--alpha F] [--no-ports] [--report] [--lint]"
     );
     ExitCode::FAILURE
 }
@@ -68,15 +66,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 opts.augment.alpha = a;
-            }
-            "--solver" => {
-                i += 1;
-                opts.solver = match args.get(i).map(String::as_str) {
-                    Some("auto") => SolverChoice::Auto,
-                    Some("ilp") => SolverChoice::Ilp,
-                    Some("greedy") => SolverChoice::Greedy,
-                    _ => return usage(),
-                };
             }
             _ => return usage(),
         }
@@ -122,15 +111,8 @@ fn main() -> ExitCode {
         match synthesize(&rsn, &opts) {
             Ok(result) => {
                 println!(
-                    "synthesized: +{} muxes, +{} bits, {} cut rounds ({})",
-                    result.report.added_muxes,
-                    result.report.added_bits,
-                    result.report.cut_rounds,
-                    if result.report.used_ilp {
-                        "ILP"
-                    } else {
-                        "greedy"
-                    }
+                    "synthesized: +{} muxes, +{} bits",
+                    result.report.added_muxes, result.report.added_bits,
                 );
                 let vopts = result.report.verify_options();
                 emitted.push((format!("{}_ft", soc.name), result.rsn, vopts));

@@ -4,31 +4,31 @@
 //! table1 [--bench NAME]... [--timing] [--paper]
 //!        [--weights ports|cells] [--ablation] [--sweep-alpha] [--latency]
 //!        [--double] [--json PATH] [--trace PATH] [--prom PATH]
-//!        [--bench-sat PATH] [--budget SECS] [--resume]
+//!        [--bench-sat PATH] [--budget SECS]
 //! ```
 //!
 //! With `--trace PATH`, event tracing is switched on for the whole run and
 //! a Chrome-trace / Perfetto JSON (span begin/end plus instant events,
 //! one `tid` timeline row per worker thread) is written to PATH — open it
 //! at <https://ui.perfetto.dev> or `chrome://tracing`. Works with or
-//! without `--json`; rows run the same extra BMC/ILP probes either way so
-//! SAT and ILP events appear in the trace.
+//! without `--json`; rows run the same extra BMC probe either way so SAT
+//! events appear in the trace. ILP events come from `--ablation`.
 //!
 //! With `--prom PATH`, the final metrics snapshot is additionally written
 //! in the Prometheus text exposition format (one row's worth when `--json`
 //! resets between rows, the whole run otherwise).
 //!
 //! With `--budget SECS`, every row runs under a fresh wall-clock budget of
-//! SECS seconds shared by all of its stages. Budget exhaustion never
+//! SECS seconds shared by its metric sweeps and its BMC spot check
+//! (synthesis takes no budget). Budget exhaustion never
 //! aborts: metric sweeps keep their evaluated prefix and the row is
-//! marked `TIMED OUT`, the augmentation ILP degrades to the greedy
-//! heuristic (`DEGRADED`), and the BMC spot check stops early. With
-//! `--json`, each row report carries `timed_out` / `degraded` keys.
+//! marked `TIMED OUT`, and the BMC spot check stops early. With
+//! `--json`, each row report carries a `timed_out` key.
 //!
-//! With `--json PATH`, a checkpoint (schema `table1-partial-v1`, path
-//! PATH with `.json` replaced by `.partial.json`) is rewritten after
-//! every completed row; `--resume` loads it and skips the rows it
-//! already contains, so an interrupted run continues where it stopped.
+//! With `--ablation`, the exact ILP checks the greedy augmentation that
+//! synthesis uses: per SoC, both costs, the ILP's cut rounds, both solve
+//! times and whether the two edge sets are the same. The run exits 1 if
+//! any edge set differs.
 //!
 //! Static verification of the synthesized networks is `rsn-lint --ft`
 //! (or `soc2rsn --ft --lint`), not part of this table.
@@ -51,7 +51,7 @@
 //! race) is written to PATH. Defaults to `u226` + `p93791` when no
 //! `--bench` is given.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::env;
 use std::time::{Duration, Instant};
 
@@ -61,122 +61,7 @@ use rsn_fault::WeightModel;
 use rsn_itc02::by_name;
 use rsn_obs::{json::Json, RunReport};
 use rsn_sib::generate;
-use rsn_synth::{
-    augment_greedy, augment_ilp_under, AugmentOptions, Dataflow, SolverChoice, SynthesisOptions,
-};
-
-/// The checkpoint path for a `--json PATH` run: `.json` → `.partial.json`.
-fn partial_path(json_path: &str) -> String {
-    match json_path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.partial.json"),
-        None => format!("{json_path}.partial.json"),
-    }
-}
-
-/// The checkpoint schema this binary writes and accepts on `--resume`.
-const CHECKPOINT_SCHEMA: &str = "table1-partial-v1";
-
-/// Why a `--resume` checkpoint was refused. Every variant means the
-/// checkpoint belongs to a different (or older, or corrupted) run —
-/// resuming from it would silently mix incompatible rows.
-#[derive(Debug)]
-enum CheckpointError {
-    /// Not parseable as JSON, or structurally not a checkpoint.
-    Malformed { path: String, detail: String },
-    /// `schema` is missing or names a different format.
-    SchemaMismatch { path: String, found: String },
-    /// The checkpoint was written for a different benchmark selection.
-    BenchmarkSetMismatch {
-        path: String,
-        checkpoint: Vec<String>,
-        requested: Vec<String>,
-    },
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Malformed { path, detail } => {
-                write!(f, "malformed checkpoint {path}: {detail}")
-            }
-            CheckpointError::SchemaMismatch { path, found } => write!(
-                f,
-                "checkpoint {path} has schema {found:?}, expected {CHECKPOINT_SCHEMA:?} \
-                 (delete it or rerun without --resume)"
-            ),
-            CheckpointError::BenchmarkSetMismatch {
-                path,
-                checkpoint,
-                requested,
-            } => write!(
-                f,
-                "checkpoint {path} covers benchmarks {checkpoint:?} but this run selects \
-                 {requested:?} (delete it or rerun without --resume)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-/// Loads and validates a `--resume` checkpoint: schema string and
-/// benchmark set must match this run before any row is reused.
-fn load_checkpoint(
-    ppath: &str,
-    requested: &[&str],
-) -> Result<HashMap<String, Json>, CheckpointError> {
-    let text = match std::fs::read_to_string(ppath) {
-        Ok(text) => text,
-        // No checkpoint is not an error: the run simply starts fresh.
-        Err(_) => return Ok(HashMap::new()),
-    };
-    let doc = rsn_obs::json::parse(&text).map_err(|e| CheckpointError::Malformed {
-        path: ppath.to_string(),
-        detail: e.to_string(),
-    })?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .unwrap_or("<missing>");
-    if schema != CHECKPOINT_SCHEMA {
-        return Err(CheckpointError::SchemaMismatch {
-            path: ppath.to_string(),
-            found: schema.to_string(),
-        });
-    }
-    let checkpoint: Vec<String> = doc
-        .get("benchmarks")
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(Json::as_str)
-                .map(str::to_string)
-                .collect()
-        })
-        .ok_or_else(|| CheckpointError::Malformed {
-            path: ppath.to_string(),
-            detail: "no \"benchmarks\" array (checkpoint predates benchmark-set tracking)"
-                .to_string(),
-        })?;
-    if checkpoint
-        .iter()
-        .map(String::as_str)
-        .ne(requested.iter().copied())
-    {
-        return Err(CheckpointError::BenchmarkSetMismatch {
-            path: ppath.to_string(),
-            checkpoint,
-            requested: requested.iter().map(|s| s.to_string()).collect(),
-        });
-    }
-    let mut resumed = HashMap::new();
-    for r in doc.get("rows").and_then(Json::as_arr).unwrap_or(&[]) {
-        if let Some(n) = r.get("name").and_then(Json::as_str) {
-            resumed.insert(n.to_string(), r.clone());
-        }
-    }
-    Ok(resumed)
-}
+use rsn_synth::{augment_greedy, augment_ilp_under, AugmentOptions, Dataflow, SynthesisOptions};
 
 fn run_double(names: &[&str]) {
     println!("\nExtension E1: sampled double-fault accessibility (segments)");
@@ -320,36 +205,44 @@ fn paper_row(row: &Row) -> String {
     )
 }
 
-fn run_ablation(names: &[&str]) {
-    println!("\nAblation A1: ILP optimum vs greedy heuristic (augmentation cost)");
+/// Runs the exact ILP as the greedy augmentation's oracle; returns
+/// whether both picked the same edge set on every SoC.
+fn run_ablation(names: &[&str]) -> bool {
+    println!("\nAblation A1: exact ILP vs greedy augmentation (the ILP is the greedy's oracle)");
     println!(
-        "{:<8} {:>10} {:>10} {:>8} {:>6}",
-        "SoC", "ilp cost", "greedy", "gap %", "cuts"
+        "{:<8} {:>8} {:>6} {:>10} {:>10} {:>5} {:>9} {:>9} {:>10}",
+        "SoC", "vertices", "edges", "ilp cost", "greedy", "cuts", "ilp s", "greedy s", "same edges"
     );
+    let mut all_same = true;
     for name in names {
         let soc = by_name(name).expect("embedded");
         let rsn = generate(&soc).expect("generate");
         let df = Dataflow::extract(&rsn);
-        if df.len() > 60 {
-            println!(
-                "{name:<8} {:>10} {:>10} {:>8} {:>6}",
-                "-", "-", "-", "(too large for exact ILP)"
-            );
-            continue;
-        }
         let opts = AugmentOptions::default();
+        let t0 = Instant::now();
         let greedy = augment_greedy(&df, &opts);
+        let greedy_s = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
         let ilp = augment_ilp_under(&df, &opts, &Budget::unlimited()).expect("ilp solves");
-        let gap = if ilp.cost > 0.0 {
-            100.0 * (greedy.cost - ilp.cost) / ilp.cost
-        } else {
-            0.0
+        let ilp_s = t0.elapsed().as_secs_f64();
+        let sorted = |added: &[(usize, usize)]| {
+            let mut edges = added.to_vec();
+            edges.sort_unstable();
+            edges
         };
+        let same = sorted(&greedy.added) == sorted(&ilp.added);
+        all_same &= same;
         println!(
-            "{name:<8} {:>10.2} {:>10.2} {:>8.2} {:>6}",
-            ilp.cost, greedy.cost, gap, ilp.cut_rounds
+            "{name:<8} {:>8} {:>6} {:>10.2} {:>10.2} {:>5} {ilp_s:>9.3} {greedy_s:>9.4} {:>10}",
+            df.len(),
+            greedy.added.len(),
+            ilp.cost,
+            greedy.cost,
+            ilp.cut_rounds,
+            if same { "yes" } else { "NO" }
         );
     }
+    all_same
 }
 
 fn run_alpha_sweep(names: &[&str]) {
@@ -362,7 +255,6 @@ fn run_alpha_sweep(names: &[&str]) {
         for alpha in [0.0, 0.05, 0.1, 0.5, 1.0] {
             let mut opts = SynthesisOptions::new();
             opts.augment.alpha = alpha;
-            opts.solver = SolverChoice::Greedy;
             let row = evaluate_budgeted(name, &opts, WeightModel::Ports, &Budget::unlimited());
             println!(
                 "{name:<8} {alpha:>6.2} {:>8} {:>10.2} {:>8.3}",
@@ -417,7 +309,6 @@ fn main() {
     let mut prom_path: Option<String> = None;
     let mut bench_sat_path: Option<String> = None;
     let mut budget_secs: Option<f64> = None;
-    let mut resume = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -471,7 +362,6 @@ fn main() {
                 assert!(secs >= 0.0, "--budget must be non-negative");
                 budget_secs = Some(secs);
             }
-            "--resume" => resume = true,
             other => panic!("unknown flag {other}"),
         }
         i += 1;
@@ -496,7 +386,14 @@ fn main() {
     }
 
     if ablation {
-        run_ablation(&names);
+        let same = run_ablation(&names);
+        if let Some(tpath) = &trace_path {
+            write_trace(tpath, &rsn_obs::trace_drain());
+        }
+        if !same {
+            eprintln!("error: the greedy augmentation differs from the exact ILP");
+            std::process::exit(1);
+        }
         return;
     }
     if latency {
@@ -517,43 +414,14 @@ fn main() {
         return;
     }
 
-    // Checkpoint rows completed by an interrupted `--json` run, by name.
-    let mut resumed: HashMap<String, Json> = HashMap::new();
-    if resume {
-        let path = json_path
-            .as_deref()
-            .expect("--resume requires --json PATH (the checkpoint lives next to it)");
-        let ppath = partial_path(path);
-        match load_checkpoint(&ppath, &names) {
-            Ok(rows) if rows.is_empty() => {
-                println!("resuming: no checkpoint at {ppath}, starting fresh")
-            }
-            Ok(rows) => {
-                resumed = rows;
-                println!("resuming: {} completed row(s) in {ppath}", resumed.len());
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     header();
     let t0 = Instant::now();
     let mut reports: Vec<Json> = Vec::new();
     let mut trace_threads: Vec<rsn_obs::TraceThread> = Vec::new();
-    // Rows run the extra BMC/ILP probes whenever their telemetry has
-    // somewhere to land — the JSON report, the event trace, or both.
+    // Rows run the extra BMC probe whenever its telemetry has somewhere
+    // to land — the JSON report, the event trace, or both.
     let obs_probes = json_path.is_some() || trace_path.is_some();
     for name in &names {
-        if json_path.is_some() {
-            if let Some(r) = resumed.remove(*name) {
-                println!("{name:<8} (resumed from checkpoint)");
-                reports.push(r);
-                continue;
-            }
-        }
         if trace_path.is_some() {
             // Drain per row (before any reset) so ring buffers cannot
             // overflow across a long multi-row run.
@@ -576,9 +444,6 @@ fn main() {
                 row.sib.skipped, row.ft.skipped
             );
         }
-        if row.degraded {
-            println!("         DEGRADED: augmentation ILP budget exhausted, greedy fallback used");
-        }
         if show_paper {
             println!("{}", paper_row(&row));
         }
@@ -598,39 +463,13 @@ fn main() {
             if mismatches > 0 {
                 eprintln!("warning: {name}: {mismatches}/{checked} BMC spot checks disagree");
             }
-            // ILP reference probe: exact on small dataflows (same gate as
-            // the ablation), node-capped on mid-size ones, so traced and
-            // reported rows record branch-and-bound telemetry even where
-            // the Auto solver picks the greedy heuristic. Larger SoCs
-            // skip it — even the root LP relaxation gets expensive there.
-            let df = Dataflow::extract(&rsn);
-            if df.len() <= 60 {
-                let _s = rsn_obs::Span::enter("ilp_reference");
-                let _ = augment_ilp_under(&df, &AugmentOptions::default(), &row_budget);
-            } else if df.len() <= 150 {
-                let _s = rsn_obs::Span::enter("ilp_reference");
-                let capped = Budget::unlimited().with_work_limit(500);
-                let _ = augment_ilp_under(&df, &AugmentOptions::default(), &capped);
-            }
         }
-        if let Some(path) = &json_path {
+        if json_path.is_some() {
             let mut report = RunReport::capture(name).to_json_value();
             if budget_secs.is_some() {
                 report.set("timed_out", Json::Bool(row.timed_out));
-                report.set("degraded", Json::Bool(row.degraded));
             }
             reports.push(report);
-            // Rewrite the checkpoint after every row so an interrupted run
-            // can pick up with `--resume`.
-            let mut doc = Json::obj();
-            doc.set("schema", Json::Str(CHECKPOINT_SCHEMA.to_string()));
-            doc.set(
-                "benchmarks",
-                Json::Arr(names.iter().map(|n| Json::Str(n.to_string())).collect()),
-            );
-            doc.set("rows", Json::Arr(reports.clone()));
-            std::fs::write(partial_path(path), doc.to_string_pretty(2))
-                .expect("write checkpoint json");
         }
     }
     if timing {

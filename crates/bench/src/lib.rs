@@ -15,7 +15,7 @@ use rsn_fault::{analyze_parallel_budgeted, FaultToleranceReport, HardeningProfil
 use rsn_itc02::{by_name, TableTargets};
 use rsn_sib::generate;
 use rsn_synth::area::{costs, AreaModel, Overhead};
-use rsn_synth::{synthesize_under, SynthesisOptions, SynthesisResult};
+use rsn_synth::{synthesize, SynthesisOptions, SynthesisResult};
 
 /// One evaluated row of Table I: characteristics, accessibility of the
 /// original and fault-tolerant RSN, and overhead ratios.
@@ -50,19 +50,16 @@ pub struct Row {
     /// `true` if a row budget expired before either metric sweep covered
     /// its full fault universe: the accessibility columns are partial.
     pub timed_out: bool,
-    /// `true` if a row budget forced the synthesis to degrade from the
-    /// exact ILP to the greedy heuristic.
-    pub degraded: bool,
 }
 
 /// Runs the full pipeline for one embedded benchmark with explicit
 /// synthesis options and fault-class weight model (experiment
 /// T1-weights: sensitivity of the averages to cell- vs port-level
-/// weighting), bounded by a per-row [`Budget`] shared by every stage.
+/// weighting), bounded by a per-row [`Budget`] shared by both metric
+/// sweeps.
 ///
 /// Degradation is fail-soft: a starved metric sweep keeps its evaluated
-/// prefix and sets [`Row::timed_out`]; a starved augmentation ILP falls
-/// back to the greedy heuristic and sets [`Row::degraded`].
+/// prefix and sets [`Row::timed_out`].
 ///
 /// # Panics
 ///
@@ -89,7 +86,7 @@ pub fn evaluate_budgeted(
     };
     let synth_t0 = Instant::now();
     let synthesis = rsn_obs::timed("synth", || {
-        synthesize_under(&rsn, opts, budget).expect("synthesis succeeds")
+        synthesize(&rsn, opts).expect("synthesis succeeds")
     });
     let synthesis_time = synth_t0.elapsed();
     let ft = {
@@ -104,7 +101,6 @@ pub fn evaluate_budgeted(
     });
 
     let timed_out = sib.skipped > 0 || ft.skipped > 0;
-    let degraded = synthesis.report.degraded;
     Row {
         name: name.to_string(),
         modules: soc.modules.len(),
@@ -120,7 +116,6 @@ pub fn evaluate_budgeted(
         paper,
         synthesis,
         timed_out,
-        degraded,
     }
 }
 
@@ -477,7 +472,7 @@ mod tests {
             WeightModel::Ports,
             &Budget::unlimited(),
         );
-        assert!(!budgeted.timed_out && !budgeted.degraded);
+        assert!(!budgeted.timed_out);
         // Each stage of the row equals the unbudgeted engine it wraps.
         let rsn = generate(&by_name("q12710").expect("embedded")).expect("generate");
         let synthesis = rsn_synth::synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");

@@ -53,15 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let result = synthesize(&rsn, &SynthesisOptions::new())?;
     println!(
-        "synthesized: +{} edges, +{} muxes, +{} bits (solver: {})",
-        result.report.added_edges,
-        result.report.added_muxes,
-        result.report.added_bits,
-        if result.report.used_ilp {
-            "ILP"
-        } else {
-            "greedy"
-        },
+        "synthesized: +{} edges, +{} muxes, +{} bits",
+        result.report.added_edges, result.report.added_muxes, result.report.added_bits,
     );
 
     let after = analyze(&result.rsn, HardeningProfile::hardened());

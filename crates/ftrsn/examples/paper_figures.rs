@@ -3,9 +3,10 @@
 //! * **Fig. 2** — the example RSN with segments A, B, C, D and the active
 //!   path A, B, D in the initial state (printed as Graphviz DOT).
 //! * **Fig. 4** — the dataflow graph's original edges `E`, potential edges
-//!   `E_P` with their costs, and the minimal augmenting edge set `E_A`
-//!   computed by the ILP.
-//! * **Fig. 5** — the synthesized select equation of segment B.
+//!   `E_P` with their costs, and the augmenting edge set `E_A` that
+//!   synthesis integrates, with the exact ILP's optimum as the certificate
+//!   that it is minimal.
+//! * **Fig. 5** — the synthesized select equations of that same network.
 //!
 //! ```text
 //! cargo run --example paper_figures
@@ -14,7 +15,7 @@
 use ftrsn::budget::Budget;
 use ftrsn::core::examples::fig2;
 use ftrsn::synth::select::{derive_selects, select_equation};
-use ftrsn::synth::{augment_ilp_under, AugmentOptions, Dataflow, SelectMode, SynthesisOptions};
+use ftrsn::synth::{augment_ilp_under, synthesize, Dataflow, SynthesisOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rsn = fig2();
@@ -35,7 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (u, v) in df.graph.edges() {
         println!("  {} -> {}", df.name(&rsn, u), df.name(&rsn, v));
     }
-    let opts = AugmentOptions::default();
+    // Both figures describe fig2's synthesis without secondary ports: 13
+    // nodes, so its selects are materialized.
+    let mut synth_opts = SynthesisOptions::new();
+    synth_opts.secondary_ports = false;
+    let opts = &synth_opts.augment;
     println!(
         "potential edges E_P \\ E (cost = 1 + α·Δlevel, α = {}):",
         opts.alpha
@@ -57,21 +62,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let aug = augment_ilp_under(&df, &opts, &Budget::unlimited())?;
+    let result = synthesize(&rsn, &synth_opts)?;
+    let aug = &result.augmentation;
+    let optimum = augment_ilp_under(&df, opts, &Budget::unlimited())?;
     println!(
-        "minimal augmenting edge set E_A \\ E (ILP, cost {:.2}, {} cut rounds):",
-        aug.cost, aug.cut_rounds
+        "augmenting edge set E_A \\ E of the synthesis (cost {:.2}; \
+         exact ILP optimum {:.2} after {} cut rounds):",
+        aug.cost, optimum.cost, optimum.cut_rounds
     );
     for &(i, j) in &aug.added {
         println!("  {} -> {}", df.name(&rsn, i), df.name(&rsn, j));
     }
+    assert!(
+        (aug.cost - optimum.cost).abs() < 1e-9,
+        "the ILP optimum certifies a minimal edge set"
+    );
     println!();
 
     println!("==== Fig. 5: synthesized select equations ====");
-    let mut synth_opts = SynthesisOptions::new();
-    synth_opts.select_mode = SelectMode::Always;
-    synth_opts.secondary_ports = false;
-    let result = ftrsn::synth::synthesize(&rsn, &synth_opts)?;
     let ft = &result.rsn;
     let selects = derive_selects(ft);
     for name in ["A", "B", "C", "D"] {

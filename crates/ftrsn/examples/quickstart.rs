@@ -24,16 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let before = analyze(&rsn, HardeningProfile::unhardened());
     println!("before synthesis: {before}");
 
-    // 3. Synthesize the fault-tolerant network (connectivity augmentation
-    //    via ILP, select re-derivation, TMR addresses, secondary ports).
+    // 3. Synthesize the fault-tolerant network (connectivity augmentation,
+    //    select re-derivation, TMR addresses, secondary ports).
     let result = synthesize(&rsn, &SynthesisOptions::new())?;
     println!(
-        "synthesis: {} edges added, {} muxes added, {} routing bits, ILP={}, cuts={}",
-        result.report.added_edges,
-        result.report.added_muxes,
-        result.report.added_bits,
-        result.report.used_ilp,
-        result.report.cut_rounds,
+        "synthesis: {} edges added, {} muxes added, {} routing bits",
+        result.report.added_edges, result.report.added_muxes, result.report.added_bits,
     );
 
     // 4. Quantify again.

@@ -14,7 +14,7 @@ use ftrsn::fault::{
 };
 use ftrsn::itc02::parse_soc;
 use ftrsn::sib::generate;
-use ftrsn::synth::{synthesize, SelectMode, SynthesisOptions};
+use ftrsn::synth::{synthesize, SynthesisOptions};
 
 /// Exhaustively compares both engines over the full fault universe.
 fn cross_validate(rsn: &Rsn, profile: HardeningProfile, steps: usize) {
@@ -57,13 +57,13 @@ fn small_soc_agrees() {
 
 #[test]
 fn synthesized_ft_network_agrees() {
-    // The FT network without secondary ports (BMC precondition), with
-    // materialized selects so fault-free validity is meaningful.
+    // The FT network without secondary ports (BMC precondition); its 13
+    // nodes get materialized selects, so fault-free validity is meaningful.
     let rsn = fig2();
     let mut opts = SynthesisOptions::new();
     opts.secondary_ports = false;
-    opts.select_mode = SelectMode::Always;
     let result = synthesize(&rsn, &opts).expect("synthesize");
+    assert!(result.report.selects_materialized);
     cross_validate(&result.rsn, HardeningProfile::hardened(), 5);
 }
 

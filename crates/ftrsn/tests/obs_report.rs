@@ -8,19 +8,23 @@ use ftrsn::budget::Budget;
 use ftrsn::core::examples::fig2;
 use ftrsn::fault::{analyze, HardeningProfile};
 use ftrsn::obs::{self, json, RunReport};
-use ftrsn::synth::{synthesize, SolverChoice, SynthesisOptions};
+use ftrsn::synth::{augment_ilp_under, synthesize, AugmentOptions, Dataflow, SynthesisOptions};
 
 #[test]
 fn fixed_pipeline_report_contains_solver_and_phase_telemetry() {
     obs::reset();
 
-    // A small fixed pipeline: exact-ILP synthesis of fig2, a BMC probe of
-    // every segment, and the fault-tolerance metric of the original.
+    // A small fixed pipeline: synthesis of fig2, the exact ILP on its
+    // dataflow, a BMC probe of every segment, and the fault-tolerance
+    // metric of the original.
     let rsn = fig2();
-    let mut opts = SynthesisOptions::new();
-    opts.solver = SolverChoice::Ilp;
-    let result = synthesize(&rsn, &opts).expect("synthesize");
-    assert!(result.report.used_ilp);
+    synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
+    augment_ilp_under(
+        &Dataflow::extract(&rsn),
+        &AugmentOptions::default(),
+        &Budget::unlimited(),
+    )
+    .expect("ilp solves");
 
     let mut checker = BmcChecker::new(&rsn, 2);
     for seg in rsn.segments() {

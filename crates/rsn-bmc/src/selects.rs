@@ -199,12 +199,12 @@ mod tests {
 
     #[test]
     fn materialized_ft_selects_verify() {
-        use rsn_synth::{synthesize, SelectMode, SynthesisOptions};
+        use rsn_synth::{synthesize, SynthesisOptions};
         let rsn = fig2();
         let mut opts = SynthesisOptions::new();
-        opts.select_mode = SelectMode::Always;
         opts.secondary_ports = false;
         let ft = synthesize(&rsn, &opts).expect("synthesize");
+        assert!(ft.report.selects_materialized);
         assert!(
             verify_select_consistency(&ft.rsn).is_none(),
             "synthesized selects must match path membership everywhere"

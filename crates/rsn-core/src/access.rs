@@ -332,8 +332,8 @@ impl Rsn {
         // write every currently-writable wrong bit each CSU.
         for _round in 0..=self.node_count() {
             // Structural trace: generated networks are valid by
-            // construction; fault-tolerant networks may carry placeholder
-            // selects (SelectMode::Never), so validity is not re-checked
+            // construction; synthesized networks of more than 64 nodes
+            // carry placeholder selects, so validity is not re-checked
             // here.
             let path = self.trace_path(&cur)?;
             if path.contains(target) {

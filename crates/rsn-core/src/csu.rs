@@ -96,8 +96,9 @@ impl Rsn {
     /// Propagates path-tracing errors from
     /// [`Rsn::trace_path`](crate::Rsn::trace_path). Configuration validity
     /// (select/path agreement) is the caller's concern: generated networks
-    /// are valid by construction, and fault-tolerant networks may carry
-    /// placeholder selects (see `rsn-synth`'s `SelectMode`).
+    /// are valid by construction, and fault-tolerant networks of more
+    /// than 64 nodes carry placeholder selects (see `rsn-synth`'s
+    /// `synthesize`).
     pub fn csu(
         &self,
         state: &mut SimState,

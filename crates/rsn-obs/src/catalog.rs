@@ -93,8 +93,6 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     (Counter, "synth.added_edges"),
     (Counter, "synth.added_muxes"),
     (Counter, "synth.added_bits"),
-    (Counter, "synth.ilp_runs"),
-    (Counter, "synth.greedy_runs"),
     (Gauge, "synth.phases.dataflow_ms"),
     (Gauge, "synth.phases.augment_ms"),
     (Gauge, "synth.phases.build_ms"),
@@ -112,7 +110,6 @@ pub const METRIC_CATALOG: &[CatalogEntry] = &[
     (Histogram, "verify.cone_nodes"),
     // rsn-budget: exhaustion and per-engine attribution (inline labels).
     (Counter, "budget.exhausted"),
-    (Counter, "budget.degraded_fallbacks"),
     (Counter, "budget.spent"),
     // rsn-serve: resident daemon (labels carry the endpoint, e.g.
     // `serve.requests{endpoint=sweep}`).

@@ -17,6 +17,10 @@
 //!
 //! optionally followed by `"synthesize": true` to analyze the
 //! fault-tolerant synthesized version instead of the flat SIB network.
+//!
+//! A spec whose network would exceed 4096 segments or 2²⁰ scan bits is
+//! refused with `400` before anything is built: the counts come from the
+//! spec's numbers or the parsed `.soc` document.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,6 +35,12 @@ use rsn_verify::{verify_on, VerifyOptions};
 use crate::breaker::{Admission, BreakerConfig, Breakers};
 use crate::cache::ArtifactCache;
 use crate::http::Request;
+
+/// Most segments a requested network may have.
+const MAX_SEGMENTS: u64 = 4096;
+
+/// Most scan bits a requested network may have.
+const MAX_BITS: u64 = 1 << 20;
 
 /// Shared state of all request handlers.
 pub struct ApiContext {
@@ -163,7 +173,7 @@ fn lint(
     scope: &rsn_obs::ScopeHandle,
     info: &RequestInfo,
 ) -> ApiResponse {
-    let rsn = match resolve_network(spec, budget) {
+    let rsn = match resolve_network(spec) {
         Ok(rsn) => rsn,
         Err(resp) => return resp,
     };
@@ -194,7 +204,7 @@ fn sweep(
     scope: &rsn_obs::ScopeHandle,
     info: &RequestInfo,
 ) -> ApiResponse {
-    let rsn = match resolve_network(spec, budget) {
+    let rsn = match resolve_network(spec) {
         Ok(rsn) => rsn,
         Err(resp) => return resp,
     };
@@ -249,7 +259,7 @@ fn plan(
     scope: &rsn_obs::ScopeHandle,
     info: &RequestInfo,
 ) -> ApiResponse {
-    let rsn = match resolve_network(spec, budget) {
+    let rsn = match resolve_network(spec) {
         Ok(rsn) => rsn,
         Err(resp) => return resp,
     };
@@ -326,7 +336,7 @@ fn synth(
     scope: &rsn_obs::ScopeHandle,
     info: &RequestInfo,
 ) -> ApiResponse {
-    let rsn = match resolve_network(spec, budget) {
+    let rsn = match resolve_network(spec) {
         Ok(rsn) => rsn,
         Err(resp) => return resp,
     };
@@ -334,7 +344,7 @@ fn synth(
         return resp;
     }
     let opts = rsn_synth::SynthesisOptions::new();
-    let result = match rsn_synth::synthesize_under(&rsn, &opts, budget) {
+    let result = match rsn_synth::synthesize(&rsn, &opts) {
         Ok(r) => r,
         Err(e) => return ApiResponse::error(400, format!("synthesis failed: {e}")),
     };
@@ -349,8 +359,6 @@ fn synth(
     report.set("added_edges", Json::Num(result.report.added_edges as f64));
     report.set("added_muxes", Json::Num(result.report.added_muxes as f64));
     report.set("added_bits", Json::Num(result.report.added_bits as f64));
-    report.set("used_ilp", Json::Bool(result.report.used_ilp));
-    report.set("degraded", Json::Bool(result.report.degraded));
     report.set(
         "hardened_muxes",
         Json::Num(result.report.hardened_muxes as f64),
@@ -429,17 +437,44 @@ fn fault_json(rsn: &Rsn, fault: &Fault) -> Json {
 }
 
 /// Builds the request's network from its JSON spec.
-fn resolve_network(spec: &Json, budget: &Budget) -> Result<Rsn, ApiResponse> {
+fn resolve_network(spec: &Json) -> Result<Rsn, ApiResponse> {
     let base = base_network(spec)?;
     if spec.get("synthesize").and_then(as_bool) == Some(true) {
         let opts = rsn_synth::SynthesisOptions::new();
-        match rsn_synth::synthesize_under(&base, &opts, budget) {
+        match rsn_synth::synthesize(&base, &opts) {
             Ok(result) => Ok(result.rsn),
             Err(e) => Err(ApiResponse::error(400, format!("synthesis failed: {e}"))),
         }
     } else {
         Ok(base)
     }
+}
+
+/// Refuses a network of more than [`MAX_SEGMENTS`] segments or
+/// [`MAX_BITS`] scan bits.
+fn check_size(segments: u64, bits: u64) -> Result<(), ApiResponse> {
+    if segments > MAX_SEGMENTS || bits > MAX_BITS {
+        return Err(ApiResponse::error(
+            400,
+            format!(
+                "network too large: {segments} segments and {bits} scan bits \
+                 (at most {MAX_SEGMENTS} and {MAX_BITS})"
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// The SIB network of `soc`, once its size is checked: one SIB per
+/// module, one SIB and one leaf per chain, one segment per top register.
+fn generate_soc(soc: &rsn_itc02::Soc) -> Result<Rsn, ApiResponse> {
+    let (modules, chains) = (soc.modules.len() as u64, soc.total_chains() as u64);
+    check_size(
+        soc.top_registers.len() as u64 + modules + 2 * chains,
+        soc.payload_bits() + modules + chains,
+    )?;
+    rsn_sib::generate(soc)
+        .map_err(|e| ApiResponse::error(400, format!("SIB generation failed: {e}")))
 }
 
 fn base_network(spec: &Json) -> Result<Rsn, ApiResponse> {
@@ -449,15 +484,29 @@ fn base_network(spec: &Json) -> Result<Rsn, ApiResponse> {
     if let Some(example) = spec.get("example").and_then(Json::as_str) {
         return match example {
             "fig2" => Ok(rsn_core::examples::fig2()),
-            "chain" => Ok(rsn_core::examples::chain(
-                (num("segments", 4.0) as usize).clamp(1, 4096),
-                (num("bits", 8.0) as u32).clamp(1, 1 << 20),
-            )),
-            "sib_tree" => Ok(rsn_core::examples::sib_tree(
-                (num("depth", 2.0) as u32).clamp(1, 8),
-                (num("fanout", 2.0) as usize).clamp(1, 16),
-                (num("seg_len", 4.0) as u32).clamp(1, 1 << 20),
-            )),
+            "chain" => {
+                let segments = (num("segments", 4.0) as usize).max(1);
+                let bits = (num("bits", 8.0) as u32).max(1);
+                check_size(
+                    segments as u64,
+                    (segments as u64).saturating_mul(u64::from(bits)),
+                )?;
+                Ok(rsn_core::examples::chain(segments, bits))
+            }
+            "sib_tree" => {
+                let depth = (num("depth", 2.0) as u32).clamp(1, 8);
+                let fanout = (num("fanout", 2.0) as usize).clamp(1, 16);
+                let seg_len = (num("seg_len", 4.0) as u32).max(1);
+                // fanout + … + fanout^depth one-bit SIBs over
+                // fanout^(depth + 1) leaves; 16^9 fits in a u64.
+                let sibs: u64 = (1..=depth).map(|k| (fanout as u64).pow(k)).sum();
+                let leaves = (fanout as u64).pow(depth + 1);
+                check_size(
+                    sibs + leaves,
+                    sibs.saturating_add(leaves.saturating_mul(u64::from(seg_len))),
+                )?;
+                Ok(rsn_core::examples::sib_tree(depth, fanout, seg_len))
+            }
             other => Err(ApiResponse::error(
                 400,
                 format!("unknown example \"{other}\" (fig2, chain, sib_tree)"),
@@ -468,14 +517,12 @@ fn base_network(spec: &Json) -> Result<Rsn, ApiResponse> {
         let soc = rsn_itc02::by_name(name).ok_or_else(|| {
             ApiResponse::error(400, format!("unknown ITC'02 benchmark \"{name}\""))
         })?;
-        return rsn_sib::generate(&soc)
-            .map_err(|e| ApiResponse::error(400, format!("SIB generation failed: {e}")));
+        return generate_soc(&soc);
     }
     if let Some(text) = spec.get("soc_text").and_then(Json::as_str) {
         let soc = rsn_itc02::parse_soc(text)
             .map_err(|e| ApiResponse::error(400, format!("bad .soc document: {e}")))?;
-        return rsn_sib::generate(&soc)
-            .map_err(|e| ApiResponse::error(400, format!("SIB generation failed: {e}")));
+        return generate_soc(&soc);
     }
     Err(ApiResponse::error(
         400,

@@ -127,7 +127,6 @@ fn mixed_chaos_workload_survives_and_recovers() {
 
     rsn_fail::configure_spec(concat!(
         "sat.solve=panic@0.3,11;",
-        "ilp.solve=err@0.5,12;",
         "fault.sweep=delay(5)@0.3,13;",
         "verify.run=budget@0.4,14;",
         "serve.parse=err@0.15,15;",
@@ -180,7 +179,6 @@ fn mixed_chaos_workload_survives_and_recovers() {
     );
     let injected: u64 = [
         "sat.solve",
-        "ilp.solve",
         "fault.sweep",
         "verify.run",
         "serve.parse",

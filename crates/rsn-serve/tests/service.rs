@@ -145,6 +145,32 @@ fn endpoints_end_to_end_and_cache_fast_path() {
 }
 
 #[test]
+fn oversized_networks_are_refused_before_they_are_built() {
+    let (addr, handle, thread) = start(2);
+    for spec in [
+        // 16^9 leaves: the build alone would exhaust memory.
+        r#"{"example": "sib_tree", "depth": 8, "fanout": 16}"#,
+        // 2^32 shadow bits, which wrap a u32 bit count to 0.
+        r#"{"example": "chain", "segments": 4096, "bits": 1048576}"#,
+        // One chain of 4 294 967 295 bits: a 4.3 GB reset vector.
+        r#"{"soc_text": "SocName big\n1 0 0 0 1 : 4294967295\n"}"#,
+    ] {
+        for path in ["/lint", "/sweep", "/plan", "/synth"] {
+            let (status, body) = request_json(addr, "POST", path, spec);
+            assert_eq!(status, 400, "{path} {spec}: {body:?}");
+            let error = body.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(
+                error.contains("network too large"),
+                "{path} {spec}: {error}"
+            );
+        }
+    }
+    let (status, _) = request_json(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    shutdown(handle, thread);
+}
+
+#[test]
 fn lint_explain_reuses_cached_artifacts() {
     let (addr, handle, thread) = start(2);
     let spec = r#"{"example": "sib_tree", "explain": true}"#;

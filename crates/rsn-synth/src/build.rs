@@ -14,110 +14,49 @@
 //! 2. **Hardening of select signals** — selects are re-derived from the
 //!    recursive rules of Sec. III-E-2 ([`crate::select`]); with at least
 //!    two outgoing edges per vertex, every select has two independent
-//!    assertion stems. Expression materialization is optional (it grows
-//!    exponentially with depth), controlled by [`SelectMode`].
+//!    assertion stems. The expressions grow exponentially with depth, so
+//!    they are materialized only on networks of at most 64 nodes.
 //! 3. **Multiplexer address hardening** — every multiplexer address net is
 //!    TMR-protected ([`rsn_core::Mux::hardened`]).
 //! 4. **Secondary scan ports** — a secondary scan-in drives every
 //!    successor of the primary scan-in through port multiplexers, and a
 //!    secondary scan-out taps the predecessors of the primary scan-out.
+//!
+//! The augmenting edge set comes from [`augment_greedy`]. On the 13
+//! embedded SoCs it picks the same edges as the paper's exact ILP
+//! ([`crate::augment_ilp_under`]), which `table1 --ablation` and the
+//! augmentation tests keep as its oracle.
 
-use std::fmt;
-
-use rsn_core::{ControlExpr, NodeId, NodeKind, Rsn, RsnBuilder};
-use rsn_ilp::IlpError;
+use rsn_core::{ControlExpr, NodeId, NodeKind, Result, Rsn, RsnBuilder};
 
 use rsn_budget::Budget;
 
-use crate::augment::{augment_greedy, augment_ilp_under, AugmentOptions, Augmentation};
+use crate::augment::{augment_greedy, AugmentOptions, Augmentation};
 use crate::dataflow::Dataflow;
 use crate::select::{apply_selects, derive_selects};
 
-/// Largest dataflow graph (in vertices) that [`SolverChoice::Auto`] hands
-/// to the exact ILP; larger graphs go to the greedy heuristic.
-const ILP_MAX_VERTICES: usize = 24;
-
-/// Which augmentation solver to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverChoice {
-    /// ILP for dataflow graphs of at most 24 vertices, greedy beyond.
-    #[default]
-    Auto,
-    /// Always the exact ILP.
-    Ilp,
-    /// Always the greedy heuristic.
-    Greedy,
-}
-
-/// Whether to materialize synthesized select expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectMode {
-    /// Materialize for networks up to 64 nodes, skip beyond.
-    #[default]
-    Auto,
-    /// Always materialize (exponential on deep augmented graphs!).
-    Always,
-    /// Never materialize (segments keep constant-true selects; the area
-    /// model accounts for select logic by formula).
-    Never,
-}
+/// Largest synthesized network (in nodes) whose select expressions are
+/// materialized. Beyond it segments keep constant-true placeholder
+/// selects, which the metric engine and the area model do not read.
+const MATERIALIZE_MAX_NODES: usize = 64;
 
 /// Options of the complete synthesis pipeline.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SynthesisOptions {
     /// Augmentation cost options.
     pub augment: AugmentOptions,
-    /// Solver selection.
-    pub solver: SolverChoice,
-    /// Materialization of synthesized selects.
-    pub select_mode: SelectMode,
     /// Add secondary scan-in/scan-out ports (Sec. III-E-4).
     pub secondary_ports: bool,
 }
 
 impl SynthesisOptions {
-    /// Paper-faithful defaults: auto solver, secondary ports on, every
-    /// multiplexer address hardened.
+    /// Paper-faithful defaults: secondary ports on, every multiplexer
+    /// address hardened.
     pub fn new() -> Self {
         SynthesisOptions {
             augment: AugmentOptions::default(),
-            solver: SolverChoice::Auto,
-            select_mode: SelectMode::Auto,
             secondary_ports: true,
         }
-    }
-}
-
-/// Error of the synthesis pipeline.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum SynthError {
-    /// The augmentation ILP failed.
-    Ilp(IlpError),
-    /// Rebuilding the network failed structurally.
-    Build(rsn_core::Error),
-}
-
-impl fmt::Display for SynthError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SynthError::Ilp(e) => write!(f, "augmentation ilp failed: {e}"),
-            SynthError::Build(e) => write!(f, "network construction failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SynthError {}
-
-impl From<IlpError> for SynthError {
-    fn from(e: IlpError) -> Self {
-        SynthError::Ilp(e)
-    }
-}
-
-impl From<rsn_core::Error> for SynthError {
-    fn from(e: rsn_core::Error) -> Self {
-        SynthError::Build(e)
     }
 }
 
@@ -130,10 +69,6 @@ pub struct SynthesisReport {
     pub added_muxes: usize,
     /// Address-register bits added.
     pub added_bits: u64,
-    /// `true` if the exact ILP produced the augmentation.
-    pub used_ilp: bool,
-    /// Lazy acyclicity cut rounds (ILP only).
-    pub cut_rounds: u32,
     /// Menger repair edges (expected 0).
     pub repairs: usize,
     /// Whether select expressions were materialized.
@@ -141,10 +76,6 @@ pub struct SynthesisReport {
     /// Multiplexer address nets TMR-hardened (every multiplexer of the
     /// synthesized network).
     pub hardened_muxes: usize,
-    /// `true` if a resource budget forced a fallback from the exact ILP
-    /// to the greedy heuristic: the network is valid but possibly
-    /// suboptimal.
-    pub degraded: bool,
 }
 
 impl SynthesisReport {
@@ -167,23 +98,17 @@ impl std::fmt::Display for SynthesisReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "+{} edges, +{} muxes, +{} bits ({}{}, {} cut rounds, {} repairs)",
+            "+{} edges, +{} muxes, +{} bits ({}{} repairs)",
             self.added_edges,
             self.added_muxes,
             self.added_bits,
-            if self.used_ilp { "ILP" } else { "greedy" },
             if self.selects_materialized {
-                ", selects materialized"
+                "selects materialized, "
             } else {
                 ""
             },
-            self.cut_rounds,
             self.repairs,
-        )?;
-        if self.degraded {
-            write!(f, " [degraded: budget fallback]")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -214,8 +139,8 @@ fn remap_expr(e: &ControlExpr, map: &[NodeId]) -> ControlExpr {
 ///
 /// # Errors
 ///
-/// Returns [`SynthError`] if the augmentation ILP fails or the rebuilt
-/// network does not validate.
+/// Returns the structural [`rsn_core::Error`] if the rebuilt network does
+/// not validate.
 ///
 /// # Example
 ///
@@ -226,29 +151,9 @@ fn remap_expr(e: &ControlExpr, map: &[NodeId]) -> ControlExpr {
 /// let result = synthesize(&fig2(), &SynthesisOptions::new())?;
 /// assert!(result.report.added_edges > 0);
 /// assert!(result.rsn.secondary_scan_in().is_some());
-/// # Ok::<(), rsn_synth::SynthError>(())
+/// # Ok::<(), rsn_core::Error>(())
 /// ```
-pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult, SynthError> {
-    synthesize_under(rsn, opts, &Budget::unlimited())
-}
-
-/// Like [`synthesize`], bounded by a [`Budget`].
-///
-/// The budget governs the augmentation ILP (one work unit per
-/// branch-and-bound node). When it trips before the ILP finds a usable
-/// solution, synthesis falls back to the greedy heuristic instead of
-/// failing and flags the result via [`SynthesisReport::degraded`]; a
-/// `budget.degraded_fallbacks` event is counted. With an unlimited
-/// budget the result is identical to [`synthesize`].
-///
-/// # Errors
-///
-/// As for [`synthesize`]; budget exhaustion is not an error.
-pub fn synthesize_under(
-    rsn: &Rsn,
-    opts: &SynthesisOptions,
-    budget: &Budget,
-) -> Result<SynthesisResult, SynthError> {
+pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult> {
     let root = rsn_obs::Span::enter("synthesize");
     rsn_obs::counter_add("synth.runs", 1);
 
@@ -257,33 +162,9 @@ pub fn synthesize_under(
     });
 
     // 0. Connectivity augmentation.
-    let use_ilp = match opts.solver {
-        SolverChoice::Ilp => true,
-        SolverChoice::Greedy => false,
-        SolverChoice::Auto => df.len() <= ILP_MAX_VERTICES,
-    };
-    let mut degraded = false;
     let augmentation = phase(&root, "augment", "synth.phases.augment_ms", || {
-        if use_ilp {
-            match augment_ilp_under(&df, &opts.augment, budget) {
-                // A budget-starved ILP degrades to the heuristic rather
-                // than failing: the greedy augmentation is always valid,
-                // just possibly costlier.
-                Err(IlpError::Budget) => {
-                    degraded = true;
-                    Ok(augment_greedy(&df, &opts.augment))
-                }
-                other => other,
-            }
-        } else {
-            Ok(augment_greedy(&df, &opts.augment))
-        }
-    })?;
-    if degraded {
-        rsn_obs::counter_add("budget.degraded_fallbacks", 1);
-        let reason = budget.exhausted().map_or("work_limit", |r| r.as_str());
-        rsn_obs::record_budget_trip("synth", reason);
-    }
+        augment_greedy(&df, &opts.augment)
+    });
 
     let build_span = root.child("build");
     let build_start = std::time::Instant::now();
@@ -375,10 +256,7 @@ pub fn synthesize_under(
     // faults on such global control signals).
     let mut report = SynthesisReport {
         added_edges: augmentation.added.len(),
-        used_ilp: augmentation.used_ilp,
-        cut_rounds: augmentation.cut_rounds,
         repairs: augmentation.repairs,
-        degraded,
         ..SynthesisReport::default()
     };
     // Pick, per added edge, the two routing-bit owners.
@@ -554,12 +432,7 @@ pub fn synthesize_under(
     let select_span = root.child("select");
     let select_start = std::time::Instant::now();
     // 2b. Select synthesis.
-    let materialize = match opts.select_mode {
-        SelectMode::Always => true,
-        SelectMode::Never => false,
-        SelectMode::Auto => b.node_count() <= 64,
-    };
-    let ft = if materialize {
+    let ft = if b.node_count() <= MATERIALIZE_MAX_NODES {
         let probe = b.clone().finish()?;
         let selects = derive_selects(&probe);
         apply_selects(&mut b, &selects);
@@ -586,20 +459,26 @@ pub fn synthesize_under(
     rsn_obs::counter_add("synth.added_edges", report.added_edges as u64);
     rsn_obs::counter_add("synth.added_muxes", report.added_muxes as u64);
     rsn_obs::counter_add("synth.added_bits", report.added_bits);
-    rsn_obs::counter_add(
-        if report.used_ilp {
-            "synth.ilp_runs"
-        } else {
-            "synth.greedy_runs"
-        },
-        1,
-    );
 
     Ok(SynthesisResult {
         rsn: ft,
         report,
         augmentation,
     })
+}
+
+/// [`synthesize`] with a [`Budget`] that is no longer read: the greedy
+/// augmentation runs in near-linear time and needs no bound.
+///
+/// # Errors
+///
+/// As for [`synthesize`].
+pub fn synthesize_under(
+    rsn: &Rsn,
+    opts: &SynthesisOptions,
+    _budget: &Budget,
+) -> Result<SynthesisResult> {
+    synthesize(rsn, opts)
 }
 
 /// Runs one pipeline phase under a child span and records its wall time
@@ -685,7 +564,6 @@ mod tests {
     fn synthesized_selects_validate_on_small_networks() {
         let rsn = fig2();
         let mut opts = SynthesisOptions::new();
-        opts.select_mode = SelectMode::Always;
         opts.secondary_ports = false;
         let result = synthesize(&rsn, &opts).expect("synthesize");
         assert!(result.report.selects_materialized);
@@ -712,7 +590,6 @@ mod tests {
         let soc = by_name("q12710").expect("embedded");
         let rsn = generate(&soc).expect("generate");
         let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
-        assert!(!result.report.used_ilp, "auto picks greedy for 48 vertices");
         assert_eq!(result.report.repairs, 0);
         // Mux ratio lands in the paper's ballpark (≈ 3.5).
         let ratio = result.rsn.muxes().count() as f64 / rsn.muxes().count() as f64;
@@ -745,10 +622,10 @@ mod tests {
 
     #[test]
     fn verified_synthesis_skips_select_checks_without_materialization() {
-        let rsn = fig2();
-        let mut opts = SynthesisOptions::new();
-        opts.select_mode = SelectMode::Never;
-        let result = synthesize(&rsn, &opts).expect("synthesize");
+        // u226's FT network has 274 nodes: past the materialization bound.
+        let rsn = generate(&by_name("u226").expect("embedded")).expect("generate");
+        let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
+        assert!(!result.report.selects_materialized);
         let vreport = rsn_verify::verify_with(&result.rsn, result.report.verify_options());
         assert!(!vreport.checks_run.contains(&"selects"));
         assert!(vreport.is_clean(), "{}", vreport.render());
@@ -773,28 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_ilp_synthesis_degrades_to_greedy() {
-        let rsn = fig2();
-        let mut opts = SynthesisOptions::new();
-        opts.solver = SolverChoice::Ilp;
-        let budget = Budget::unlimited().with_work_limit(0);
-        let result = synthesize_under(&rsn, &opts, &budget).expect("degraded synthesis succeeds");
-        assert!(result.report.degraded, "zero budget must flag degradation");
-        assert!(!result.report.used_ilp, "fallback must be the heuristic");
-        assert!(!result.augmentation.used_ilp);
-        assert!(
-            format!("{}", result.report).contains("degraded"),
-            "degradation must be visible in the rendered report"
-        );
-        // The fallback network is still a valid fault-tolerant RSN: it
-        // matches what a direct greedy synthesis produces.
-        let mut greedy_opts = SynthesisOptions::new();
-        greedy_opts.solver = SolverChoice::Greedy;
-        let greedy = synthesize(&rsn, &greedy_opts).expect("greedy");
-        assert_eq!(result.augmentation, greedy.augmentation);
-    }
-
-    #[test]
     fn unlimited_budget_synthesis_matches_unbudgeted() {
         let rsn = fig2();
         let opts = SynthesisOptions::new();
@@ -803,19 +658,5 @@ mod tests {
             synthesize_under(&rsn, &opts, &Budget::unlimited()).expect("unlimited budget");
         assert_eq!(plain.report, budgeted.report);
         assert_eq!(plain.augmentation, budgeted.augmentation);
-        assert!(!budgeted.report.degraded);
-    }
-
-    #[test]
-    fn generous_budget_keeps_exact_ilp_result() {
-        let rsn = fig2();
-        let mut opts = SynthesisOptions::new();
-        opts.solver = SolverChoice::Ilp;
-        let budget = Budget::unlimited().with_work_limit(1_000_000);
-        let budgeted = synthesize_under(&rsn, &opts, &budget).expect("budgeted");
-        let plain = synthesize(&rsn, &opts).expect("plain");
-        assert!(!budgeted.report.degraded);
-        assert!(budgeted.report.used_ilp);
-        assert_eq!(plain.report, budgeted.report);
     }
 }

@@ -5,9 +5,10 @@
 //! The pipeline:
 //!
 //! 1. [`Dataflow::extract`] — the RSN dataflow graph (Sec. III-B).
-//! 2. [`augment_ilp_under`] / [`augment_greedy`] — minimum-cost connectivity
-//!    augmentation establishing two vertex-independent paths per segment
-//!    (Sec. III-C, III-D), with lazy subtour-elimination cuts.
+//! 2. [`augment_greedy`] — minimum-cost connectivity augmentation
+//!    establishing two vertex-independent paths per segment (Sec. III-C,
+//!    III-D). The paper's exact ILP with lazy subtour-elimination cuts,
+//!    [`augment_ilp_under`], is its oracle.
 //! 3. [`synthesize`] — final synthesis: multiplexer insertion, select
 //!    re-derivation and hardening, TMR address nets, secondary scan ports
 //!    (Sec. III-E).
@@ -23,7 +24,7 @@
 //! let original = fig2();
 //! let ft = synthesize(&original, &SynthesisOptions::new())?;
 //! assert!(ft.rsn.muxes().count() > original.muxes().count());
-//! # Ok::<(), rsn_synth::SynthError>(())
+//! # Ok::<(), rsn_core::Error>(())
 //! ```
 
 pub mod area;
@@ -36,9 +37,6 @@ pub use area::{AreaModel, NetworkCosts, Overhead};
 pub use augment::{
     augment_greedy, augment_ilp_under, augmented_graph, AugmentOptions, Augmentation,
 };
-pub use build::{
-    synthesize, synthesize_under, SelectMode, SolverChoice, SynthError, SynthesisOptions,
-    SynthesisReport, SynthesisResult,
-};
+pub use build::{synthesize, synthesize_under, SynthesisOptions, SynthesisReport, SynthesisResult};
 pub use dataflow::Dataflow;
 pub use select::{select_hardness, SelectHardnessReport};

@@ -7,7 +7,7 @@ use rsn_itc02::by_name;
 use rsn_sib::generate;
 use rsn_synth::area::{costs, AreaModel, Overhead};
 use rsn_synth::select::derive_selects;
-use rsn_synth::{synthesize, Dataflow, SelectMode, SolverChoice, SynthesisOptions};
+use rsn_synth::{synthesize, Dataflow, SynthesisOptions};
 
 #[test]
 fn synthesized_selects_have_multiple_stems() {
@@ -15,7 +15,6 @@ fn synthesized_selects_have_multiple_stems() {
     // segments are disjunctions over at least two fan-out stems.
     let rsn = rsn_core::examples::fig2();
     let mut opts = SynthesisOptions::new();
-    opts.select_mode = SelectMode::Always;
     opts.secondary_ports = false;
     let ft = synthesize(&rsn, &opts).expect("synthesize");
     let selects = derive_selects(&ft.rsn);
@@ -44,9 +43,7 @@ fn synthesized_selects_have_multiple_stems() {
 fn solver_choices_give_equivalent_quality() {
     let soc = by_name("x1331").expect("embedded");
     let rsn = generate(&soc).expect("generate");
-    let mut greedy_opts = SynthesisOptions::new();
-    greedy_opts.solver = SolverChoice::Greedy;
-    let greedy = synthesize(&rsn, &greedy_opts).expect("greedy");
+    let greedy = synthesize(&rsn, &SynthesisOptions::new()).expect("greedy");
     let report = analyze(&greedy.rsn, HardeningProfile::hardened());
     // The greedy result achieves the headline property on its own.
     let total = greedy.rsn.segments().count() as f64;

@@ -47,8 +47,9 @@ use rsn_core::Rsn;
 pub struct VerifyOptions {
     /// Per-segment select satisfiability and select/path agreement
     /// (`RSN001`, `RSN002`). Meaningless on networks whose selects were
-    /// never materialized (`SelectMode::Never` leaves constant-true
-    /// placeholders); callers synthesizing such networks switch it off.
+    /// never materialized (synthesis leaves constant-true placeholders on
+    /// networks of more than 64 nodes); callers synthesizing such networks
+    /// switch it off.
     pub select_checks: bool,
 }
 
