@@ -5,6 +5,9 @@
 //! generator so the workspace carries no external dependencies and every
 //! run exercises the same cases.
 
+mod common;
+
+use common::assert_narrowing_matches_reference;
 use ftrsn::core::examples::fig2;
 use ftrsn::core::{ControlExpr, NodeId};
 use ftrsn::fault::{accessibility, analyze, FaultEffect, HardeningProfile};
@@ -138,6 +141,27 @@ fn synthesis_preserves_reset_path_on_random_socs() {
             .collect();
         assert_eq!(orig, ft);
     }
+}
+
+#[test]
+fn narrowed_queries_match_the_reference_on_random_socs() {
+    // Synthesis materializes the selects of these small networks, and
+    // their select trees grow exponentially with depth: beyond 32 nodes
+    // the CNF has 8 515 to 859 325 variables and one reference check
+    // takes minutes (ROADMAP item 2), so only the smaller syntheses run.
+    let mut rng = Rng(0xf75_000a);
+    let mut syntheses = 0;
+    for _case in 0..16 {
+        let soc = random_soc(&mut rng);
+        let rsn = generate(&soc).expect("generate");
+        assert_narrowing_matches_reference(&rsn);
+        let ft = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesis");
+        if ft.rsn.node_count() <= 32 {
+            assert_narrowing_matches_reference(&ft.rsn);
+            syntheses += 1;
+        }
+    }
+    assert!(syntheses >= 4, "only {syntheses} syntheses checked");
 }
 
 #[test]

@@ -82,6 +82,9 @@ pub enum Error {
     },
     /// A duplicate node name was registered in the builder.
     DuplicateName(String),
+    /// The shadow registers hold more than `u32::MAX` bits, the widest
+    /// configuration a network can address.
+    TooManyShadowBits,
 }
 
 impl fmt::Display for Error {
@@ -122,6 +125,9 @@ impl fmt::Display for Error {
                 write!(f, "node {node} is not a {expected}")
             }
             Error::DuplicateName(name) => write!(f, "duplicate node name {name:?}"),
+            Error::TooManyShadowBits => {
+                write!(f, "shadow registers exceed {} bits", u32::MAX)
+            }
         }
     }
 }
@@ -160,6 +166,7 @@ mod tests {
                 expected: "segment",
             },
             Error::DuplicateName("A".into()),
+            Error::TooManyShadowBits,
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -810,6 +810,8 @@ impl RsnBuilder {
     ///   networks only).
     /// * [`Error::InvalidRegisterRef`] / [`Error::InvalidInputRef`] if a
     ///   control expression references non-existent state.
+    /// * [`Error::TooManyShadowBits`] if the shadow registers together
+    ///   hold more than `u32::MAX` bits.
     pub fn finish(self) -> Result<Rsn> {
         let RsnBuilder {
             name,
@@ -904,7 +906,9 @@ impl RsnBuilder {
             if let NodeKind::Segment(s) = &n.kind {
                 if s.has_shadow {
                     shadow_offset[i] = Some(shadow_bits);
-                    shadow_bits += s.length;
+                    shadow_bits = shadow_bits
+                        .checked_add(s.length)
+                        .ok_or(Error::TooManyShadowBits)?;
                 }
             }
         }
@@ -1134,6 +1138,18 @@ mod tests {
         // Pinned value: fails if the serialization ever changes silently
         // (stale service caches / checkpoints would go undetected).
         assert_eq!(a.fingerprint(), 0x58dd_fde7_d924_b77c);
+    }
+
+    #[test]
+    fn shadow_bits_beyond_u32_are_refused() {
+        // Two 2^31-bit registers: 2^32 shadow bits, one past `u32::MAX`.
+        let mut b = RsnBuilder::new("wide");
+        let a = b.add_segment("A", 1 << 31);
+        let c = b.add_segment("C", 1 << 31);
+        b.connect(b.scan_in(), a);
+        b.connect(a, c);
+        b.connect(c, b.scan_out());
+        assert_eq!(b.finish().unwrap_err(), Error::TooManyShadowBits);
     }
 
     #[test]

@@ -259,6 +259,10 @@ pub struct Solver {
     trail_lim: Vec<usize>,
     prop_head: usize,
     activity: Vec<f64>,
+    /// Per variable: may the search branch on it (MiniSat's `decision`
+    /// flag)? On for every variable unless [`Solver::set_decision`]
+    /// switches it off.
+    decision: Vec<bool>,
     var_inc: f64,
     cla_inc: f64,
     order: VarOrder,
@@ -300,6 +304,7 @@ impl Solver {
             trail_lim: Vec::new(),
             prop_head: 0,
             activity: Vec::new(),
+            decision: Vec::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
             order: VarOrder::default(),
@@ -352,6 +357,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.decision.push(true);
         self.phase.push(false);
         self.seen.push(false);
         self.watches.push(Vec::new());
@@ -359,6 +365,31 @@ impl Solver {
         self.order.grow(self.assign.len());
         self.order.insert(v, &self.activity);
         v
+    }
+
+    /// Makes `v` a decision variable (`on`, the default for every
+    /// variable) or not. The search branches only on decision variables,
+    /// and a solve answers `Sat` as soon as every decision variable is
+    /// assigned without conflict. A variable that is off is assigned only
+    /// if propagation forces it; otherwise [`Solver::value`] reads `None`
+    /// for it after the solve.
+    ///
+    /// Flags only narrow the search, so an `Unsat` verdict never depends
+    /// on them. A `Sat` verdict does: switching variables off is sound
+    /// only if every assignment of the decision variables that falsifies
+    /// no clause extends to a model of the whole formula, for instance
+    /// when every clause defines a gate and the decision variables are
+    /// closed under gate fan-in (how `rsn-verify` narrows its queries).
+    /// Flags persist across solves and into clones; call this between
+    /// solves.
+    pub fn set_decision(&mut self, v: Var, on: bool) {
+        self.decision[v.index()] = on;
+        // An assigned variable re-enters the order when it is unassigned
+        // (`backtrack`); a variable switched off stays in the heap until
+        // `decide` pops and drops it.
+        if on && self.assign[v.index()] == UNDEF {
+            self.order.insert(v, &self.activity);
+        }
     }
 
     /// Number of allocated variables.
@@ -662,7 +693,9 @@ impl Solver {
             let v = self.trail[i].var();
             self.assign[v.index()] = UNDEF;
             self.reason[v.index()] = None;
-            self.order.insert(v, &self.activity);
+            if self.decision[v.index()] {
+                self.order.insert(v, &self.activity);
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(to_level as usize);
@@ -671,7 +704,7 @@ impl Solver {
 
     fn decide(&mut self) -> bool {
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assign[v.index()] == UNDEF {
+            if self.assign[v.index()] == UNDEF && self.decision[v.index()] {
                 self.stats.decisions += 1;
                 self.trail_lim.push(self.trail.len());
                 let phase = self.phase[v.index()];
@@ -1005,7 +1038,8 @@ impl Solver {
                     continue;
                 }
                 if !self.decide() {
-                    return SolveOutcome::Sat; // full assignment
+                    // Every decision variable is assigned.
+                    return SolveOutcome::Sat;
                 }
             }
         }
@@ -1151,7 +1185,8 @@ impl Solver {
     }
 
     /// Model value of a variable after a satisfiable [`Solver::solve`] call,
-    /// `None` if unassigned.
+    /// `None` if unassigned (only a variable that is not a decision
+    /// variable, see [`Solver::set_decision`], can be).
     pub fn value(&self, v: Var) -> Option<bool> {
         match self.assign[v.index()] {
             UNDEF => None,
@@ -1652,6 +1687,37 @@ mod tests {
             SolveOutcome::Sat
         );
         assert_eq!(s.value(b), Some(true));
+    }
+
+    #[test]
+    fn decision_flags_narrow_the_search() {
+        let mut s = Solver::new();
+        let (a, b, c, d) = (s.new_var(), s.new_var(), s.new_var(), s.new_var());
+        s.add_clause([lp(a), lp(b)]);
+        s.add_clause([ln(a), lp(c)]);
+        s.add_clause([ln(d), lp(a)]);
+        s.add_clause([ln(d), ln(c)]);
+        for v in [b, c, d] {
+            s.set_decision(v, false);
+        }
+        // Sat once `a`, the one decision variable, is assigned: `c` and
+        // `d` are forced, `b` is left unassigned.
+        assert!(s.solve_with(&[lp(a)]));
+        assert_eq!(s.value(a), Some(true));
+        assert_eq!((s.value(c), s.value(d)), (Some(true), Some(false)));
+        assert_eq!(s.value(b), None);
+        assert_eq!(s.stats().decisions, 0);
+        // Unsat never depends on the flags: `d` forces `a`, then `c`,
+        // which `d` forbids.
+        assert!(!s.solve_with(&[lp(d)]));
+        // Flags persist across solves and into clones, and switching a
+        // variable back on makes the search decide it again.
+        let mut twin = s.clone();
+        assert!(twin.solve());
+        assert_eq!(twin.value(b), None);
+        s.set_decision(b, true);
+        assert!(s.solve());
+        assert!(s.value(b).is_some());
     }
 
     /// Brute-force evaluation for cross-checking.

@@ -367,11 +367,8 @@ fn synth(
     let mut body = Json::obj();
     body.set("report", report);
     body.set("nodes", Json::Num(entry.rsn().node_count() as f64));
-    body.set(
-        "fingerprint",
-        Json::Str(format!("{:016x}", entry.rsn().fingerprint())),
-    );
-    finish(&mut body, &rsn, scope);
+    // Name the network just cached, so the client can address it.
+    finish(&mut body, entry.rsn(), scope);
     ApiResponse::ok(body)
 }
 

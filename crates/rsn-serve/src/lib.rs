@@ -21,7 +21,7 @@
 //! | `POST /lint`     | network spec (+ explain)               | verification report |
 //! | `POST /sweep`    | network spec + profile/threads         | fault-sweep summary |
 //! | `POST /plan`     | network spec + target (+ fault_index)  | access plan |
-//! | `POST /synth`    | network spec                           | synthesis report |
+//! | `POST /synth`    | network spec                           | synthesis report, cached FT network's fingerprint |
 //! | `GET /metrics`   | —                                      | Prometheus text |
 //! | `GET /healthz`   | —                                      | liveness + cache size |
 //!

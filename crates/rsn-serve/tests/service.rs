@@ -145,6 +145,37 @@ fn endpoints_end_to_end_and_cache_fast_path() {
 }
 
 #[test]
+fn synth_reports_the_network_it_cached() {
+    let (addr, handle, thread) = start(1);
+    let fingerprint = |body: &Json| {
+        body.get("fingerprint")
+            .and_then(Json::as_str)
+            .expect("fingerprint")
+            .to_string()
+    };
+    let (status, synth) = request_json(addr, "POST", "/synth", r#"{"example": "fig2"}"#);
+    assert_eq!(status, 200);
+    let (status, sweep) = request_json(
+        addr,
+        "POST",
+        "/sweep",
+        r#"{"example": "fig2", "synthesize": true}"#,
+    );
+    assert_eq!(status, 200);
+    assert_eq!(fingerprint(&synth), fingerprint(&sweep));
+    assert_eq!(synth.get("network"), sweep.get("network"));
+    // The FT network /synth cached serves the /sweep: a cache hit.
+    let hits = sweep
+        .get("request_metrics")
+        .and_then(|m| m.get("serve.cache_hits"))
+        .and_then(Json::as_f64);
+    assert_eq!(hits, Some(1.0));
+    let (_, plain) = request_json(addr, "POST", "/sweep", r#"{"example": "fig2"}"#);
+    assert_ne!(fingerprint(&synth), fingerprint(&plain));
+    shutdown(handle, thread);
+}
+
+#[test]
 fn oversized_networks_are_refused_before_they_are_built() {
     let (addr, handle, thread) = start(2);
     for spec in [

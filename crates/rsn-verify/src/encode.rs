@@ -16,11 +16,16 @@
 //! run against a caller-owned [`SatScratch`] — a private clone of the
 //! pristine solver. That split lets one `Arc<NetworkSat>` serve many
 //! concurrent requests, each with its own search state.
+//!
+//! Every clause defines a gate or is the constant-true unit, so each
+//! query decides only the fan-in cone of its assumptions: any assignment
+//! of the cone that falsifies no clause extends to a full model by
+//! evaluating the remaining gates (DESIGN.md §8).
 
 use std::collections::HashMap;
 
 use rsn_core::{Config, ControlExpr, InputId, NodeId, NodeKind, Rsn};
-use rsn_sat::{CnfBuilder, Lit, Solver};
+use rsn_sat::{CnfBuilder, Lit, Solver, Var};
 
 /// Structural provenance of an emitted clause: which piece of the
 /// network the clause encodes. Stored once per clause as an index into a
@@ -77,6 +82,11 @@ pub struct NetworkSat {
     /// Provenance side table: clause tags recorded by the builder index
     /// into this vector.
     origins: Vec<ClauseOrigin>,
+    /// Gate fan-in in CSR form: the inputs of the gate whose output is
+    /// variable `v` are `fanin[fanin_start[v]..fanin_start[v + 1]]`.
+    /// Control bits, inputs and the constant have none.
+    fanin_start: Vec<u32>,
+    fanin: Vec<Var>,
 }
 
 // Compile-time guarantee: the artifact stays shareable across threads.
@@ -94,6 +104,12 @@ const _: () = {
 pub struct SatScratch {
     solver: Solver,
     queries: usize,
+    /// The decision scope of the last query: the fan-in closure of its
+    /// assumption variables, the only variables switched on.
+    scope: Vec<Var>,
+    /// Per variable: is it in `scope`? Empty until the first query,
+    /// while every variable is still on.
+    in_scope: Vec<bool>,
 }
 
 impl SatScratch {
@@ -104,8 +120,11 @@ impl SatScratch {
 
     /// Direct solver access for the explanation engine (core extraction,
     /// blocking clauses). Counts as zero queries; the engine reports its
-    /// own metrics.
+    /// own metrics. Every decision flag is on: the engine adds blocking
+    /// clauses, which are no gate definitions, so its solves must decide
+    /// every variable. It only ever uses fresh scratches this way.
     pub(crate) fn solver_mut(&mut self) -> &mut Solver {
+        debug_assert!(self.in_scope.is_empty(), "a narrowed scratch");
         &mut self.solver
     }
 }
@@ -148,6 +167,8 @@ impl NetworkSat {
             mismatch: vec![None; rsn.node_count()],
             overflow: HashMap::new(),
             origins: Vec::new(),
+            fanin_start: Vec::new(),
+            fanin: Vec::new(),
         };
 
         // Tag 0 = Base; force the constant literal into existence here so
@@ -175,7 +196,7 @@ impl NetworkSat {
                     .enumerate()
                     .map(|(i, &b)| if (k >> i) & 1 == 1 { b } else { !b })
                     .collect();
-                let lit = me.cnf.and(conj);
+                let lit = me.and(conj);
                 me.cond.insert((m, k), lit);
             }
         }
@@ -201,7 +222,7 @@ impl NetworkSat {
                                 for (k, &inp) in mux.inputs.iter().enumerate() {
                                     if inp == v {
                                         let c = me.cond[&(w, k)];
-                                        let a = me.cnf.and([me.onpath[w.index()], c]);
+                                        let a = me.and(vec![me.onpath[w.index()], c]);
                                         alts.push(a);
                                     }
                                 }
@@ -209,7 +230,7 @@ impl NetworkSat {
                             _ => alts.push(me.onpath[w.index()]),
                         }
                     }
-                    me.cnf.or(alts)
+                    me.or(alts)
                 }
             };
             me.onpath[v.index()] = l;
@@ -221,7 +242,7 @@ impl NetworkSat {
             me.begin(ClauseOrigin::Mismatch(s));
             let sel = me.select[s.index()].expect("select literal");
             let on = me.onpath[s.index()];
-            me.mismatch[s.index()] = Some(me.cnf.xor(sel, on));
+            me.mismatch[s.index()] = Some(me.xor(sel, on));
         }
         for m in rsn.muxes() {
             let mux = rsn.node(m).as_mux().expect("mux");
@@ -232,12 +253,107 @@ impl NetworkSat {
                 // The input conditions partition the address space, so an
                 // out-of-range decode is exactly "no valid condition holds".
                 let conds: Vec<Lit> = (0..n_inputs).map(|k| me.cond[&(m, k)]).collect();
-                let in_range = me.cnf.or(conds);
+                let in_range = me.or(conds);
                 me.overflow.insert(m, !in_range);
             }
         }
 
+        let n_vars = me.cnf.solver().num_vars();
+        me.fanin_start.resize(n_vars + 1, me.fanin.len() as u32);
         me
+    }
+
+    /// Gate `AND(ins)`, with its fan-in recorded.
+    fn and(&mut self, ins: Vec<Lit>) -> Lit {
+        let fresh = self.cnf.solver().num_vars();
+        let out = self.cnf.and(ins.iter().copied());
+        self.record_fanin(fresh, out, &ins);
+        out
+    }
+
+    /// Gate `OR(ins)`, with its fan-in recorded.
+    fn or(&mut self, ins: Vec<Lit>) -> Lit {
+        let fresh = self.cnf.solver().num_vars();
+        let out = self.cnf.or(ins.iter().copied());
+        self.record_fanin(fresh, out, &ins);
+        out
+    }
+
+    /// Gate `a XOR b`, with its fan-in recorded.
+    fn xor(&mut self, a: Lit, b: Lit) -> Lit {
+        let fresh = self.cnf.solver().num_vars();
+        let out = self.cnf.xor(a, b);
+        self.record_fanin(fresh, out, &[a, b]);
+        out
+    }
+
+    /// Records `ins` as the fan-in of `out` if `out` is a new gate output,
+    /// i.e. variable `fresh`; a gate of fewer than two inputs returns an
+    /// existing literal and records nothing.
+    fn record_fanin(&mut self, fresh: usize, out: Lit, ins: &[Lit]) {
+        if out.var().index() == fresh {
+            self.fanin_start.resize(fresh + 1, self.fanin.len() as u32);
+            self.fanin.extend(ins.iter().map(|l| l.var()));
+        }
+    }
+
+    /// The recorded inputs of the gate whose output is `v` (empty for a
+    /// control bit, an input or the constant).
+    fn fanin(&self, v: Var) -> &[Var] {
+        let (i, j) = (self.fanin_start[v.index()], self.fanin_start[v.index() + 1]);
+        &self.fanin[i as usize..j as usize]
+    }
+
+    /// Switches the scratch's decision flags from the previous query's
+    /// scope to the fan-in closure of `assumptions`, at a cost of the two
+    /// scopes' sizes (plus one pass over every variable on a fresh
+    /// scratch, which starts with every flag on).
+    ///
+    /// Sound only because every clause of the scratch's solver is a gate
+    /// definition, the constant-true unit or a learnt clause implied by
+    /// them: once the closure is assigned without conflict, the other
+    /// gates evaluate in creation order to a full model that agrees with
+    /// everything propagation forced. A solver that holds any other
+    /// clause (the explanation engine's blocking clauses) must keep every
+    /// flag on, so it is only reached through
+    /// [`SatScratch::solver_mut`].
+    fn narrow(&self, scratch: &mut SatScratch, assumptions: &[Lit]) {
+        let SatScratch {
+            solver,
+            scope,
+            in_scope,
+            ..
+        } = scratch;
+        if in_scope.is_empty() {
+            for v in 0..solver.num_vars() {
+                solver.set_decision(Var(v as u32), false);
+            }
+            in_scope.resize(solver.num_vars(), false);
+        }
+        for &v in scope.iter() {
+            in_scope[v.index()] = false;
+            solver.set_decision(v, false);
+        }
+        scope.clear();
+        // Breadth-first over the fan-in, using the scope as its queue.
+        for l in assumptions {
+            if !std::mem::replace(&mut in_scope[l.var().index()], true) {
+                scope.push(l.var());
+            }
+        }
+        let mut head = 0;
+        while head < scope.len() {
+            let v = scope[head];
+            head += 1;
+            for &u in self.fanin(v) {
+                if !std::mem::replace(&mut in_scope[u.index()], true) {
+                    scope.push(u);
+                }
+            }
+        }
+        for &v in scope.iter() {
+            solver.set_decision(v, true);
+        }
     }
 
     /// Opens a provenance region: clauses emitted from here to the next
@@ -260,11 +376,11 @@ impl NetworkSat {
             ControlExpr::Not(inner) => !self.expr_lit(rsn, inner),
             ControlExpr::And(es) => {
                 let lits: Vec<Lit> = es.iter().map(|x| self.expr_lit(rsn, x)).collect();
-                self.cnf.and(lits)
+                self.and(lits)
             }
             ControlExpr::Or(es) => {
                 let lits: Vec<Lit> = es.iter().map(|x| self.expr_lit(rsn, x)).collect();
-                self.cnf.or(lits)
+                self.or(lits)
             }
         }
     }
@@ -310,12 +426,16 @@ impl NetworkSat {
         SatScratch {
             solver: self.cnf.solver().clone(),
             queries: 0,
+            scope: Vec::new(),
+            in_scope: Vec::new(),
         }
     }
 
     /// Asks whether the formula is satisfiable under `assumptions`; on
-    /// success extracts the witness configuration from the model. Bits
-    /// without a literal (read by no select or mux address) are 0.
+    /// success extracts the witness configuration from the model. The
+    /// solve decides only the fan-in cone of the assumptions, so a bit or
+    /// input outside it reads 0 unless propagation forced it, and so does
+    /// a bit without a literal (read by no select or mux address).
     pub fn witness(
         &self,
         rsn: &Rsn,
@@ -323,6 +443,7 @@ impl NetworkSat {
         assumptions: &[Lit],
     ) -> Option<Config> {
         scratch.queries += 1;
+        self.narrow(scratch, assumptions);
         if !scratch.solver.solve_with(assumptions) {
             return None;
         }
@@ -341,9 +462,11 @@ impl NetworkSat {
     }
 
     /// Asks whether the formula is satisfiable under `assumptions`
-    /// without extracting a model.
+    /// without extracting a model, deciding only the fan-in cone of the
+    /// assumptions.
     pub fn satisfiable(&self, scratch: &mut SatScratch, assumptions: &[Lit]) -> bool {
         scratch.queries += 1;
+        self.narrow(scratch, assumptions);
         scratch.solver.solve_with(assumptions)
     }
 
@@ -377,8 +500,125 @@ impl NetworkSat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsn_core::examples::sib_tree;
+    use rsn_core::examples::{chain, fig2, sib_tree};
     use rsn_core::RsnBuilder;
+    use std::collections::HashSet;
+
+    /// A 3-input mux on two address bits (so it can overflow) whose
+    /// inputs carry selects built from And, Or, Not and constants over
+    /// control bits and primary inputs.
+    fn mixed_gates() -> Rsn {
+        let mut b = RsnBuilder::new("mixed-gates");
+        let i = b.add_inputs(2);
+        let ctl = b.add_segment("ctl", 2);
+        let s: Vec<NodeId> = (0..3).map(|k| b.add_segment(format!("s{k}"), 1)).collect();
+        b.set_select(ctl, ControlExpr::TRUE);
+        b.connect(b.scan_in(), ctl);
+        for &seg in &s {
+            b.connect(ctl, seg);
+        }
+        let (c0, c1) = (ControlExpr::reg(ctl, 0), ControlExpr::reg(ctl, 1));
+        let m = b.add_mux("m", s.clone(), vec![c0.clone(), c1.clone()]);
+        b.connect(m, b.scan_out());
+        let not = |e: ControlExpr| ControlExpr::Not(Box::new(e));
+        b.set_select(
+            s[0],
+            ControlExpr::And(vec![not(c0.clone()), not(c1.clone())]),
+        );
+        b.set_select(
+            s[1],
+            ControlExpr::Or(vec![
+                ControlExpr::And(vec![c0, not(c1.clone())]),
+                ControlExpr::And(vec![ControlExpr::input(i), ControlExpr::Const(false)]),
+            ]),
+        );
+        b.set_select(s[2], ControlExpr::Or(vec![c1, ControlExpr::input(i + 1)]));
+        b.finish().expect("builds")
+    }
+
+    #[test]
+    fn every_clause_defines_a_gate_or_is_the_constant() {
+        // Narrowing a query to its fan-in cone is sound only if every
+        // clause is the constant-true unit or belongs to the definition
+        // of one gate: its newest variable is a gate output and every
+        // other variable one of that gate's recorded inputs. Each
+        // resolvent of two such clauses on the output must be a
+        // tautology, so any input values extend to an output value. A
+        // constraint clause fails one of these checks.
+        for rsn in [fig2(), chain(4, 8), sib_tree(2, 2, 3), mixed_gates()] {
+            let sat = NetworkSat::build(&rsn);
+            let free: HashSet<Var> = sat
+                .bit_lits()
+                .iter()
+                .flatten()
+                .chain(sat.input_lits())
+                .map(|l| l.var())
+                .collect();
+            let mut constants = HashSet::new();
+            let mut gates: HashMap<Var, Vec<&[Lit]>> = HashMap::new();
+            for (lits, origin) in sat.recorded_clauses() {
+                let out = lits.iter().map(|l| l.var()).max().expect("no empty clause");
+                let ins = sat.fanin(out);
+                if ins.is_empty() {
+                    assert!(lits.len() == 1 && !lits[0].is_neg(), "{origin:?}: {lits:?}");
+                    assert!(!free.contains(&out), "{origin:?} constrains {out}");
+                    constants.insert(out);
+                    continue;
+                }
+                assert!(
+                    lits.iter()
+                        .all(|l| l.var() == out || ins.contains(&l.var())),
+                    "{origin:?}: {lits:?} is not over the fan-in {ins:?} of {out}"
+                );
+                gates.entry(out).or_default().push(lits);
+            }
+            assert!(constants.len() <= 1, "{}: {constants:?}", rsn.name());
+            assert!(!gates.is_empty(), "{}: no gates", rsn.name());
+            for (out, clauses) in &gates {
+                for p in clauses.iter().filter(|c| c.contains(&Lit::pos(*out))) {
+                    for n in clauses.iter().filter(|c| c.contains(&Lit::neg(*out))) {
+                        assert!(
+                            p.iter().any(|&l| l.var() != *out && n.contains(&!l)),
+                            "{}: {p:?} and {n:?} leave {out} undefined",
+                            rsn.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_witness_decides_only_its_cone() {
+        // `ctl[0]` selects `a` and `ctl[1]` selects `c`; no clause ties
+        // the two bits, so propagation never forces one from the other.
+        let mut b = RsnBuilder::new("two-selects");
+        let ctl = b.add_segment("ctl", 2);
+        let a = b.add_segment("a", 1);
+        let c = b.add_segment("c", 1);
+        b.set_select(ctl, ControlExpr::TRUE);
+        b.set_select(a, ControlExpr::reg(ctl, 0));
+        b.set_select(c, ControlExpr::reg(ctl, 1));
+        b.connect(b.scan_in(), ctl);
+        b.connect(ctl, a);
+        b.connect(a, c);
+        b.connect(c, b.scan_out());
+        let rsn = b.finish().expect("builds");
+        let off = rsn.shadow_offset(ctl).expect("shadow") as usize;
+
+        let sat = NetworkSat::build(&rsn);
+        let mut scratch = sat.scratch();
+        // Forces ctl[0] = 1, which becomes its saved phase.
+        assert!(sat.satisfiable(&mut scratch, &[sat.select(a)]));
+        let cfg = sat
+            .witness(&rsn, &mut scratch, &[sat.select(c)])
+            .expect("c is selectable");
+        assert!(cfg.bit(off + 1));
+        assert!(!cfg.bit(off), "ctl[0] lies outside the cone of select(c)");
+        assert!(rsn.select(c, &cfg).expect("select evaluates"));
+        assert!(!rsn.select(a, &cfg).expect("select evaluates"));
+        assert_eq!(scratch.queries(), 2);
+    }
 
     #[test]
     fn mux_address_bits_get_a_variable() {
