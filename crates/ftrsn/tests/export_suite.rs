@@ -71,8 +71,8 @@ fn pdl_scripts_cover_sampled_accesses() {
         let plan = rsn.plan_access(seg, &reset).expect("plan");
         let len = rsn.node(seg).as_segment().expect("segment").length as usize;
         let value = vec![false; len];
-        let w = write_access_pdl(&rsn, &plan, &value);
-        let r = read_access_pdl(&rsn, &plan, None);
+        let w = write_access_pdl(&rsn, &plan, &reset, &value);
+        let r = read_access_pdl(&rsn, &plan, &reset, None);
         // One iApply per setup CSU plus the data apply.
         assert_eq!(
             w.matches("iApply;").count(),

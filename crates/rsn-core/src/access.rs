@@ -12,6 +12,7 @@
 //! in `rsn-bmc` provides a complete (but slower) alternative.
 
 use crate::config::Config;
+use crate::csu::csu_cycles;
 use crate::error::{Error, Result};
 use crate::expr::{ControlExpr, InputId};
 use crate::network::{NodeId, NodeKind, Rsn};
@@ -30,9 +31,9 @@ pub struct AccessPlan {
     /// Configurations after each CSU, in order. Empty if the target is
     /// already active in the initial configuration.
     pub steps: Vec<Config>,
-    /// Total access latency in shift cycles: the sum over all CSUs of the
-    /// active-path shift length (plus the final read/write CSU).
-    pub latency: u64,
+    /// Access latency in clock cycles: capture + shift + update of every
+    /// setup CSU and of the final data CSU (the paper's Sec. II-B cost).
+    pub cycles: u64,
 }
 
 impl AccessPlan {
@@ -326,7 +327,7 @@ impl Rsn {
 
         let mut steps = Vec::new();
         let mut cur = from.clone();
-        let mut latency = 0u64;
+        let mut cycles = 0u64;
 
         // Iterate: re-derive requirements against the evolving config and
         // write every currently-writable wrong bit each CSU.
@@ -337,11 +338,11 @@ impl Rsn {
             // here.
             let path = self.trace_path(&cur)?;
             if path.contains(target) {
-                latency += path.shift_length(self);
+                cycles += csu_cycles(&path, self);
                 return Ok(AccessPlan {
                     target,
                     steps,
-                    latency,
+                    cycles,
                 });
             }
             let (req, input_req) = self.path_requirements_for(target, &cur)?;
@@ -407,7 +408,7 @@ impl Rsn {
                     reason: "no required control register is writable".into(),
                 });
             }
-            latency += path.shift_length(self);
+            cycles += csu_cycles(&path, self);
             cur = next;
             steps.push(cur.clone());
         }
@@ -508,8 +509,9 @@ mod tests {
         let (rsn, _, _, s) = nested_sib();
         let plan = rsn.plan_access(s, &rsn.reset_config()).expect("plan");
         // CSU1 over path of length 1 (SIB1), CSU2 over length 2 (SIB1+SIB2),
-        // final access path length 1+1+4 = 6. Total 1+2+6 = 9.
-        assert_eq!(plan.latency, 9);
+        // final access path length 1+1+4 = 6: 9 shift cycles, plus a
+        // capture and an update cycle for each of the 3 CSUs.
+        assert_eq!(plan.cycles, 9 + 3 * 2);
     }
 
     #[test]

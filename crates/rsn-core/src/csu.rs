@@ -170,9 +170,31 @@ impl Rsn {
         })
     }
 
+    /// The scan-in stream that leaves `bit(seg, i)` in bit `i` of every
+    /// segment on `path` after a full shift, one cycle per scan bit.
+    ///
+    /// After `total` shift cycles the bit injected at cycle `k` sits at
+    /// chain position `total - 1 - k` (position 0 is nearest scan-in), so
+    /// the stream is the path's concatenated register contents reversed.
+    pub(crate) fn scan_in_stream(
+        &self,
+        path: &ScanPath,
+        mut bit: impl FnMut(NodeId, usize) -> bool,
+    ) -> Vec<bool> {
+        let mut stream = Vec::new();
+        for seg in path.segments(self) {
+            let len = self.node(seg).as_segment().expect("segment").length as usize;
+            stream.extend((0..len).map(|i| bit(seg, i)));
+        }
+        stream.reverse();
+        stream
+    }
+
     /// Convenience: performs a full-path CSU that shifts `value` into
-    /// segment `target` (and zeros elsewhere) and updates. The target must
-    /// be on the current active path.
+    /// segment `target` and updates. Every other on-path register is
+    /// re-streamed with its current contents, so the write does not tear
+    /// down the scan configuration (control registers live on the same
+    /// chain). The target must be on the current active path.
     ///
     /// # Errors
     ///
@@ -185,55 +207,26 @@ impl Rsn {
         target: NodeId,
         value: &[bool],
     ) -> Result<CsuOutcome> {
-        let path = self.trace_path(&state.config)?;
-        if !path.contains(target) {
-            return Err(crate::Error::AccessPlanFailed {
-                target,
-                reason: "target segment is not on the active scan path".into(),
-            });
-        }
-        // Build the scan-in stream so that after shift_length cycles the
-        // value sits in the target register. The first bit shifted in ends
-        // at the chain position farthest from scan-in that it can reach,
-        // i.e. the stream is consumed in order with the last bits of the
-        // stream ending nearest to scan-in.
-        let segs: Vec<NodeId> = path.segments(self).collect();
-        let total: usize = segs
-            .iter()
-            .map(|&s| self.node(s).as_segment().expect("segment").length as usize)
-            .sum();
-        let tlen = value.len();
+        let path = self.active_target_path(state, target)?;
         assert_eq!(
-            tlen,
+            value.len(),
             self.node(target).as_segment().expect("segment").length as usize,
             "value length must match target register length"
         );
-        // After `total` shift cycles, the bit injected at cycle k (0-based)
-        // sits at chain position total-1-k. We want chain[offset + i] =
-        // value[i], so the bit for chain position p is injected at cycle
-        // total-1-p. Every other on-path register is re-streamed with its
-        // current contents so the write does not tear down the scan
-        // configuration (control registers live on the same chain!).
-        let mut stream = vec![false; total];
-        let mut pos = 0usize;
-        for &s in &segs {
-            let len = self.node(s).as_segment().expect("segment").length as usize;
+        let stream = self.scan_in_stream(&path, |s, i| {
             if s == target {
-                for (i, &v) in value.iter().enumerate() {
-                    stream[total - 1 - (pos + i)] = v;
-                }
+                value[i]
             } else {
-                for (i, &b) in state.shift_register(s).to_vec().iter().enumerate() {
-                    stream[total - 1 - (pos + i)] = b;
-                }
+                state.shift_register(s)[i]
             }
-            pos += len;
-        }
+        });
         self.csu(state, &stream, &|_| None)
     }
 
     /// Convenience: performs a CSU that captures and shifts out the entire
-    /// active path, returning the captured bits of segment `target`.
+    /// active path, returning the captured bits of segment `target`. Every
+    /// on-path register is re-streamed with its current contents, so the
+    /// read leaves the configuration as it was.
     ///
     /// `capture_data` provides the instrument data captured into each
     /// segment.
@@ -247,6 +240,25 @@ impl Rsn {
         target: NodeId,
         capture_data: &dyn Fn(NodeId) -> Option<Vec<bool>>,
     ) -> Result<Vec<bool>> {
+        let path = self.active_target_path(state, target)?;
+        let len = |s: NodeId| self.node(s).as_segment().expect("segment").length as usize;
+        let offset: usize = path
+            .segments(self)
+            .take_while(|&s| s != target)
+            .map(len)
+            .sum();
+        let stream = self.scan_in_stream(&path, |s, i| state.shift_register(s)[i]);
+        let total = stream.len();
+        let outcome = self.csu(state, &stream, capture_data)?;
+        // Chain position p is emitted at cycle total-1-p; target occupies
+        // positions offset..offset+len.
+        Ok((offset..offset + len(target))
+            .map(|p| outcome.shifted_out[total - 1 - p])
+            .collect())
+    }
+
+    /// The active scan path of `state`, which must contain `target`.
+    fn active_target_path(&self, state: &SimState, target: NodeId) -> Result<ScanPath> {
         let path = self.trace_path(&state.config)?;
         if !path.contains(target) {
             return Err(crate::Error::AccessPlanFailed {
@@ -254,40 +266,14 @@ impl Rsn {
                 reason: "target segment is not on the active scan path".into(),
             });
         }
-        let segs: Vec<NodeId> = path.segments(self).collect();
-        let total: usize = segs
-            .iter()
-            .map(|&s| self.node(s).as_segment().expect("segment").length as usize)
-            .sum();
-        let mut offset = 0usize;
-        for &s in &segs {
-            if s == target {
-                break;
-            }
-            offset += self.node(s).as_segment().expect("segment").length as usize;
-        }
-        let tlen = self.node(target).as_segment().expect("segment").length as usize;
-        // Re-stream every on-path register's current contents so the read
-        // is non-destructive for the configuration.
-        let mut stream = vec![false; total];
-        let mut pos = 0usize;
-        for &s in &segs {
-            let len = self.node(s).as_segment().expect("segment").length as usize;
-            for (i, &b) in state.shift_register(s).to_vec().iter().enumerate() {
-                stream[total - 1 - (pos + i)] = b;
-            }
-            pos += len;
-        }
-        let outcome = self.csu(state, &stream, capture_data)?;
-        // Chain position p is emitted at cycle total-1-p; target occupies
-        // positions offset..offset+tlen.
-        let mut out = Vec::with_capacity(tlen);
-        for i in 0..tlen {
-            let p = offset + i;
-            out.push(outcome.shifted_out[total - 1 - p]);
-        }
-        Ok(out)
+        Ok(path)
     }
+}
+
+/// Clock cycles of one CSU over `path`: a capture cycle, one shift cycle
+/// per scan bit and an update cycle.
+pub(crate) fn csu_cycles(path: &ScanPath, rsn: &Rsn) -> u64 {
+    path.shift_length(rsn) + 2
 }
 
 #[cfg(test)]

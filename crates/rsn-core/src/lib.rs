@@ -14,7 +14,9 @@
 //! * Active-scan-path tracing and configuration validity ([`path`]).
 //! * Bit-accurate capture–shift–update (CSU) simulation ([`csu`]).
 //! * Fault-free access planning: a series of CSU operations that routes the
-//!   active scan path through a target segment ([`access`]).
+//!   active scan path through a target segment, with its latency in clock
+//!   cycles ([`access`], [`retarget`]), and stateful instrument access
+//!   sessions that execute such plans on the simulator ([`session`]).
 //! * Ready-made example networks, including the paper's Fig. 2 ([`examples`]).
 //!
 //! # Example
@@ -53,5 +55,5 @@ pub use expr::{CompiledExpr, ControlExpr, InputId};
 pub use lint::{structural_findings, StructuralFindings};
 pub use network::{Mux, Node, NodeId, NodeKind, Rsn, RsnBuilder, Segment};
 pub use path::ScanPath;
-pub use retarget::{GroupAccessPlan, LatencyReport};
+pub use retarget::LatencyReport;
 pub use session::AccessSession;

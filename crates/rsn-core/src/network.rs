@@ -10,7 +10,7 @@
 //! structural well-formedness (single root/sink, acyclicity, connectedness,
 //! control references) in [`RsnBuilder::finish`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::config::Config;
@@ -154,8 +154,8 @@ impl Node {
 
 /// A validated reconfigurable scan network.
 ///
-/// Construct via [`RsnBuilder`]; the structure is immutable afterwards
-/// except through dedicated synthesis transformations (which rebuild).
+/// Construct via [`RsnBuilder`]; the structure is immutable afterwards.
+/// Synthesis transformations edit a copy ([`Rsn::into_builder`]).
 ///
 /// # Example
 ///
@@ -181,8 +181,10 @@ pub struct Rsn {
     secondary_scan_in: Option<NodeId>,
     secondary_scan_out: Option<NodeId>,
     num_inputs: u32,
-    /// Successor lists (reverse of predecessor relation), indexed by node.
-    successors: Vec<Vec<NodeId>>,
+    /// Successor lists (reverse of predecessor relation), flat: node
+    /// `i`'s consumers are `successors[succ_start[i]..succ_start[i + 1]]`.
+    successors: Vec<NodeId>,
+    succ_start: Vec<usize>,
     /// Bit offset of each segment's shadow register in a `Config`, `None`
     /// for nodes without shadow state.
     shadow_offset: Vec<Option<u32>>,
@@ -276,7 +278,7 @@ impl Rsn {
 
     /// Successors (fan-out consumers) of a node.
     pub fn successors(&self, id: NodeId) -> &[NodeId] {
-        &self.successors[id.index()]
+        &self.successors[self.succ_start[id.index()]..self.succ_start[id.index() + 1]]
     }
 
     /// Predecessors of a node (mux inputs or single source).
@@ -343,6 +345,32 @@ impl Rsn {
         match err.into_inner() {
             Some(e) => Err(e),
             None => Ok(v),
+        }
+    }
+
+    /// Checks that every register reference of `expr` names an existing
+    /// shadow bit and every input reference an existing input.
+    fn check_refs(&self, expr: &ControlExpr) -> Result<()> {
+        match expr {
+            ControlExpr::Const(_) => Ok(()),
+            &ControlExpr::Reg(node, bit) => {
+                if node.index() < self.nodes.len() && bit < self.shadow_len(node) {
+                    Ok(())
+                } else {
+                    Err(Error::InvalidRegisterRef { node, bit })
+                }
+            }
+            ControlExpr::Input(i) => {
+                if i.0 < self.num_inputs {
+                    Ok(())
+                } else {
+                    Err(Error::InvalidInputRef(i.0))
+                }
+            }
+            ControlExpr::Not(e) => self.check_refs(e),
+            ControlExpr::And(es) | ControlExpr::Or(es) => {
+                es.iter().try_for_each(|e| self.check_refs(e))
+            }
         }
     }
 
@@ -444,9 +472,20 @@ impl Rsn {
         h.finish()
     }
 
-    /// Consumes the network and returns a builder initialized with the same
-    /// structure, for synthesis transformations.
+    /// Consumes the network and returns a builder holding the same nodes,
+    /// ports, inputs and reset values, for synthesis transformations.
+    /// Every node keeps its id.
     pub fn into_builder(self) -> RsnBuilder {
+        let mut reset = HashMap::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let Some(off) = self.shadow_offset[i] else {
+                continue;
+            };
+            let len = node.as_segment().map_or(0, |s| s.length);
+            for bit in (0..len).filter(|&b| self.reset_bits[(off + b) as usize]) {
+                reset.insert((NodeId(i as u32), bit), true);
+            }
+        }
         RsnBuilder {
             name: self.name,
             nodes: self.nodes,
@@ -455,9 +494,7 @@ impl Rsn {
             secondary_scan_in: self.secondary_scan_in,
             secondary_scan_out: self.secondary_scan_out,
             num_inputs: self.num_inputs,
-            names: HashMap::new(),
-            reset: HashMap::new(),
-            check_names: false,
+            reset,
         }
     }
 }
@@ -563,10 +600,8 @@ pub struct RsnBuilder {
     secondary_scan_in: Option<NodeId>,
     secondary_scan_out: Option<NodeId>,
     num_inputs: u32,
-    names: HashMap<String, NodeId>,
     /// Per-segment shadow reset values (bit index within segment → value).
     reset: HashMap<(NodeId, u32), bool>,
-    check_names: bool,
 }
 
 impl RsnBuilder {
@@ -593,10 +628,13 @@ impl RsnBuilder {
             secondary_scan_in: None,
             secondary_scan_out: None,
             num_inputs: 0,
-            names: HashMap::new(),
             reset: HashMap::new(),
-            check_names: true,
         }
+    }
+
+    /// Renames the network.
+    pub fn set_name(&mut self, name: impl Into<String>) {
+        self.name = name.into();
     }
 
     /// The primary scan-in port.
@@ -618,9 +656,6 @@ impl RsnBuilder {
 
     fn push(&mut self, name: String, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        if self.check_names {
-            self.names.insert(name.clone(), id);
-        }
         self.nodes.push(Node {
             name,
             kind,
@@ -669,31 +704,6 @@ impl RsnBuilder {
         match &mut self.nodes[id.index()].kind {
             NodeKind::Mux(m) => m.hardened = true,
             _ => panic!("harden_mux on non-mux node {id}"),
-        }
-    }
-
-    /// Replaces the data inputs of a multiplexer (used by synthesis
-    /// rebuilds where inputs may reference nodes created later).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a multiplexer.
-    pub fn set_mux_inputs(&mut self, id: NodeId, inputs: Vec<NodeId>) {
-        match &mut self.nodes[id.index()].kind {
-            NodeKind::Mux(m) => m.inputs = inputs,
-            _ => panic!("set_mux_inputs on non-mux node {id}"),
-        }
-    }
-
-    /// Replaces the address bits of a multiplexer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a multiplexer.
-    pub fn set_mux_addr_bits(&mut self, id: NodeId, addr_bits: Vec<ControlExpr>) {
-        match &mut self.nodes[id.index()].kind {
-            NodeKind::Mux(m) => m.addr_bits = addr_bits,
-            _ => panic!("set_mux_addr_bits on non-mux node {id}"),
         }
     }
 
@@ -806,8 +816,7 @@ impl RsnBuilder {
     ///   misses its scan-input driver.
     /// * [`Error::MuxTooFewInputs`] for degenerate multiplexers.
     /// * [`Error::StructuralCycle`] if the dataflow is not acyclic.
-    /// * [`Error::DuplicateName`] if two nodes share a name (builder-created
-    ///   networks only).
+    /// * [`Error::DuplicateName`] if two added nodes share a name.
     /// * [`Error::InvalidRegisterRef`] / [`Error::InvalidInputRef`] if a
     ///   control expression references non-existent state.
     /// * [`Error::TooManyShadowBits`] if the shadow registers together
@@ -815,24 +824,22 @@ impl RsnBuilder {
     pub fn finish(self) -> Result<Rsn> {
         let RsnBuilder {
             name,
-            nodes,
+            mut nodes,
             scan_in,
             scan_out,
             secondary_scan_in,
             secondary_scan_out,
             num_inputs,
-            names,
             reset,
-            check_names,
         } = self;
 
-        if check_names && names.len() + 2 != nodes.len() {
-            // Some name was inserted twice; find it for the error message.
-            let mut seen = HashMap::new();
-            for n in &nodes {
-                if seen.insert(n.name.clone(), ()).is_some() {
-                    return Err(Error::DuplicateName(n.name.clone()));
-                }
+        // Names are unique among the nodes added to the builder (the two
+        // primary ports it starts with are not counted).
+        let mut names = HashSet::with_capacity(nodes.len());
+        for (i, n) in nodes.iter().enumerate() {
+            let port = i == scan_in.index() || i == scan_out.index();
+            if !port && !names.insert(n.name.as_str()) {
+                return Err(Error::DuplicateName(n.name.clone()));
             }
         }
 
@@ -863,14 +870,25 @@ impl RsnBuilder {
             }
         }
 
-        // Successor lists.
-        let mut successors: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
-        for (i, n) in nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
+        // Successor lists in one allocation, each in arena order.
+        let mut succ_start = vec![0; nodes.len() + 1];
+        for n in &nodes {
             for p in n.predecessors() {
-                successors[p.index()].push(id);
+                succ_start[p.index() + 1] += 1;
             }
         }
+        for i in 0..nodes.len() {
+            succ_start[i + 1] += succ_start[i];
+        }
+        let mut successors = vec![NodeId(0); succ_start[nodes.len()]];
+        let mut fill = succ_start.clone();
+        for (i, n) in nodes.iter().enumerate() {
+            for p in n.predecessors() {
+                successors[fill[p.index()]] = NodeId(i as u32);
+                fill[p.index()] += 1;
+            }
+        }
+        let succ = |id: NodeId| &successors[succ_start[id.index()]..succ_start[id.index() + 1]];
 
         // Topological sort (Kahn) over the dataflow; detects cycles.
         let mut indeg: Vec<usize> = nodes.iter().map(|n| n.predecessors().len()).collect();
@@ -884,7 +902,7 @@ impl RsnBuilder {
             let id = queue[head];
             head += 1;
             topo.push(id);
-            for &s in &successors[id.index()] {
+            for &s in succ(id) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     queue.push(s);
@@ -927,6 +945,8 @@ impl RsnBuilder {
             }
         }
 
+        // The arena is final: keep no growth slack.
+        nodes.shrink_to_fit();
         let rsn = Rsn {
             name,
             nodes,
@@ -936,24 +956,25 @@ impl RsnBuilder {
             secondary_scan_out,
             num_inputs,
             successors,
+            succ_start,
             shadow_offset,
             shadow_bits,
             topo,
             reset_bits,
         };
 
-        // Validate control references by evaluating every expression once.
-        let cfg = rsn.reset_config();
+        // Validate every control reference, including those an evaluation
+        // would short-circuit past.
         for id in rsn.node_ids() {
             match &rsn.node(id).kind {
                 NodeKind::Segment(s) => {
-                    rsn.eval(&s.select, &cfg)?;
-                    rsn.eval(&s.capture_disable, &cfg)?;
-                    rsn.eval(&s.update_disable, &cfg)?;
+                    rsn.check_refs(&s.select)?;
+                    rsn.check_refs(&s.capture_disable)?;
+                    rsn.check_refs(&s.update_disable)?;
                 }
                 NodeKind::Mux(m) => {
                     for b in &m.addr_bits {
-                        rsn.eval(b, &cfg)?;
+                        rsn.check_refs(b)?;
                     }
                 }
                 _ => {}
@@ -1048,6 +1069,41 @@ mod tests {
             b.finish().unwrap_err(),
             Error::InvalidRegisterRef { node: s, bit: 5 }
         );
+    }
+
+    #[test]
+    fn short_circuited_invalid_reference_is_rejected() {
+        // `false ∧ x` evaluates without reading x; the reference is still
+        // checked.
+        let mut b = RsnBuilder::new("x");
+        let s = b.add_segment("S", 2);
+        b.set_select(s, ControlExpr::FALSE & ControlExpr::reg(s, 5));
+        b.connect(b.scan_in(), s);
+        b.connect(s, b.scan_out());
+        assert_eq!(
+            b.finish().unwrap_err(),
+            Error::InvalidRegisterRef { node: s, bit: 5 }
+        );
+    }
+
+    #[test]
+    fn into_builder_keeps_reset_values_names_and_ids() {
+        let mut b = RsnBuilder::new("r");
+        let s = b.add_segment("S", 3);
+        b.set_select(s, ControlExpr::TRUE);
+        b.set_reset_bit(s, 1, true);
+        b.connect(b.scan_in(), s);
+        b.connect(s, b.scan_out());
+        let rsn = b.finish().expect("valid");
+        let copy = rsn.clone().into_builder().finish().expect("valid copy");
+        assert_eq!(copy.fingerprint(), rsn.fingerprint());
+        assert_eq!(copy.find("S"), Some(s));
+        // The copy still refuses a second node of an existing name.
+        let mut b = rsn.into_builder();
+        let dup = b.add_segment("S", 1);
+        b.connect(s, dup);
+        b.connect(dup, b.scan_out());
+        assert_eq!(b.finish().unwrap_err(), Error::DuplicateName("S".into()));
     }
 
     #[test]

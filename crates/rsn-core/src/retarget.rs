@@ -1,42 +1,15 @@
-//! Access retargeting: merged multi-target accesses and latency analysis.
+//! Access latency analysis.
 //!
 //! The formal model of the paper's Sec. II-B computes a *time-optimal
 //! series of CSU operations* for every access; the latency of an access is
 //! the total number of clock cycles over that series (each CSU costs one
 //! capture cycle, one shift cycle per active-path bit, and one update
-//! cycle). This module implements the pattern-retargeting layer on top of
-//! [`plan_access`](crate::Rsn::plan_access):
-//!
-//! * [`Rsn::plan_group_access`] merges accesses to several segments into
-//!   one CSU series, opening all required hierarchy levels in parallel —
-//!   the merging optimization of scan-pattern retargeting.
-//! * Per-plan cycle accounting is generalized to
-//!   [`LatencyReport`], the per-segment access latency table used by the
-//!   latency-preservation experiment (T1-latency in DESIGN.md).
+//! cycle). [`Rsn::plan_access`] counts them as it plans
+//! ([`AccessPlan::cycles`](crate::access::AccessPlan::cycles));
+//! [`LatencyReport`] tabulates them per segment for the
+//! latency-preservation experiment (T1-latency in EXPERIMENTS.md).
 
-use crate::access::AccessPlan;
-use crate::config::Config;
-use crate::error::{Error, Result};
 use crate::network::{NodeId, Rsn};
-
-/// A merged access plan covering several target segments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupAccessPlan {
-    /// The targets, in request order.
-    pub targets: Vec<NodeId>,
-    /// Configurations after each CSU operation.
-    pub steps: Vec<Config>,
-    /// Total latency in clock cycles (capture + shifts + update per CSU),
-    /// including the final data CSU over the combined path.
-    pub cycles: u64,
-}
-
-impl GroupAccessPlan {
-    /// Number of CSU operations including the final data access.
-    pub fn csu_count(&self) -> usize {
-        self.steps.len() + 1
-    }
-}
 
 /// Per-segment access latencies of a network, from the reset configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,241 +45,23 @@ impl LatencyReport {
     }
 }
 
-/// Cycle cost of one CSU over a path of `shift_bits` bits: one capture,
-/// `shift_bits` shift cycles, one update.
-fn csu_cycles(shift_bits: u64) -> u64 {
-    shift_bits + 2
-}
-
 impl Rsn {
-    /// Plans a merged access to several segments: one CSU series whose
-    /// final configuration has *every* target on the active scan path.
-    ///
-    /// The planner iterates the greedy single-target requirement
-    /// derivation for all targets simultaneously, so hierarchy levels
-    /// shared between targets are opened once — fewer CSUs than planning
-    /// each target separately (the retargeting merge optimization).
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::WrongNodeKind`] if a target is not a segment.
-    /// * [`Error::AccessPlanFailed`] if no single configuration routes all
-    ///   targets (e.g. two targets on mutually exclusive branches) or the
-    ///   greedy planner stalls.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use rsn_core::examples::sib_tree;
-    ///
-    /// let rsn = sib_tree(1, 3, 4);
-    /// let leaves: Vec<_> = rsn
-    ///     .segments()
-    ///     .filter(|&s| rsn.node(s).name().ends_with(".seg"))
-    ///     .take(3)
-    ///     .collect();
-    /// let merged = rsn.plan_group_access(&leaves, &rsn.reset_config())?;
-    /// // All leaves sit one SIB level deep: a single setup CSU suffices.
-    /// assert_eq!(merged.csu_count(), 2);
-    /// # Ok::<(), rsn_core::Error>(())
-    /// ```
-    pub fn plan_group_access(&self, targets: &[NodeId], from: &Config) -> Result<GroupAccessPlan> {
-        for &t in targets {
-            if self.node(t).as_segment().is_none() {
-                return Err(Error::WrongNodeKind {
-                    node: t,
-                    expected: "segment",
-                });
-            }
-        }
-
-        let mut steps = Vec::new();
-        let mut cur = from.clone();
-        let mut cycles = 0u64;
-
-        for _round in 0..=self.node_count() {
-            let path = self.trace_path(&cur)?;
-            if targets.iter().all(|&t| path.contains(t)) {
-                cycles += csu_cycles(path.shift_length(self));
-                return Ok(GroupAccessPlan {
-                    targets: targets.to_vec(),
-                    steps,
-                    cycles,
-                });
-            }
-            // Union of the requirements of all unsatisfied targets.
-            let mut wrong: Vec<(NodeId, u32, bool)> = Vec::new();
-            for &t in targets {
-                if path.contains(t) {
-                    continue;
-                }
-                let (req, input_req) = self.path_requirements_for(t, &cur)?;
-                for (i, v) in input_req {
-                    cur.set_input(i, v);
-                }
-                for (n, b, v) in req {
-                    let off = self.shadow_offset(n).map(|o| (o + b) as usize);
-                    let differs = match off {
-                        Some(idx) => cur.bit(idx) != v,
-                        None => true,
-                    };
-                    if differs && !wrong.contains(&(n, b, v)) {
-                        // Conflicting requirements between targets?
-                        if wrong
-                            .iter()
-                            .any(|&(n2, b2, v2)| n2 == n && b2 == b && v2 != v)
-                        {
-                            return Err(Error::AccessPlanFailed {
-                                target: t,
-                                reason: format!(
-                                    "conflicting requirement on {n}[{b}] while merging accesses"
-                                ),
-                            });
-                        }
-                        wrong.push((n, b, v));
-                    }
-                }
-            }
-            if wrong.is_empty() {
-                return Err(Error::AccessPlanFailed {
-                    target: targets[0],
-                    reason: "requirements satisfied but some target still off-path".into(),
-                });
-            }
-            let mut next = cur.clone();
-            let mut progressed = false;
-            for (n, b, v) in wrong {
-                let active = path.contains(n);
-                let updis = match self.node(n).as_segment() {
-                    Some(s) => self.eval(&s.update_disable, &cur)?,
-                    None => true,
-                };
-                if active && !updis {
-                    let off = self
-                        .shadow_offset(n)
-                        .ok_or(Error::InvalidRegisterRef { node: n, bit: b })?;
-                    next.set_bit((off + b) as usize, v);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                return Err(Error::AccessPlanFailed {
-                    target: targets[0],
-                    reason: "no required control register is writable".into(),
-                });
-            }
-            cycles += csu_cycles(path.shift_length(self));
-            cur = next;
-            steps.push(cur.clone());
-        }
-
-        Err(Error::AccessPlanFailed {
-            target: targets.first().copied().unwrap_or(self.scan_out()),
-            reason: "merged planner exceeded iteration bound".into(),
-        })
-    }
-
     /// Computes the access latency of every segment from the reset
-    /// configuration (one CSU series per segment; cycle accounting per
-    /// [`AccessPlan`] plus the final data CSU).
+    /// configuration: the [`AccessPlan::cycles`](crate::access::AccessPlan::cycles)
+    /// of one plan per segment.
     pub fn latency_report(&self) -> LatencyReport {
         let reset = self.reset_config();
         let per_segment = self
             .segments()
-            .map(|seg| {
-                let cycles = self
-                    .plan_access(seg, &reset)
-                    .ok()
-                    .map(|plan| plan_cycles(self, &plan, &reset));
-                (seg, cycles)
-            })
+            .map(|seg| (seg, self.plan_access(seg, &reset).ok().map(|p| p.cycles)))
             .collect();
         LatencyReport { per_segment }
     }
 }
 
-/// Total cycles of a single-target plan: each setup CSU costs capture +
-/// path shifts + update over the path of the *previous* configuration;
-/// the final data CSU runs over the final path.
-fn plan_cycles(rsn: &Rsn, plan: &AccessPlan, from: &Config) -> u64 {
-    let mut cycles = 0u64;
-    let mut cur = from.clone();
-    for step in &plan.steps {
-        let path = rsn.trace_path(&cur).expect("plan steps are traceable");
-        cycles += csu_cycles(path.shift_length(rsn));
-        cur = step.clone();
-    }
-    let final_path = rsn.trace_path(&cur).expect("final step is traceable");
-    cycles + csu_cycles(final_path.shift_length(rsn))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::examples::{chain, fig2, sib_tree};
-
-    #[test]
-    fn merged_access_opens_shared_levels_once() {
-        let rsn = sib_tree(2, 2, 4);
-        // Two leaves under the same depth-2 hierarchy: separate plans need
-        // 2 setup CSUs each; a merged plan needs 2 total.
-        let leaves: Vec<NodeId> = rsn
-            .segments()
-            .filter(|&s| {
-                rsn.node(s).name().starts_with("t0") && rsn.node(s).name().ends_with(".seg")
-            })
-            .collect();
-        assert!(leaves.len() >= 2);
-        let merged = rsn
-            .plan_group_access(&leaves, &rsn.reset_config())
-            .expect("merged plan");
-        assert_eq!(merged.csu_count(), 3, "2 setup CSUs + 1 data CSU");
-    }
-
-    #[test]
-    fn merged_access_across_branches() {
-        let rsn = sib_tree(1, 3, 4);
-        // One leaf from each of the three top SIBs.
-        let mut targets = Vec::new();
-        for i in 0..3 {
-            let name = format!("t{i}0.seg");
-            targets.push(rsn.find(&name).expect("leaf exists"));
-        }
-        let merged = rsn
-            .plan_group_access(&targets, &rsn.reset_config())
-            .expect("merged plan");
-        // All three SIBs open in one CSU.
-        assert_eq!(merged.csu_count(), 2);
-        let last = merged.steps.last().expect("one setup step");
-        let path = rsn.active_path(last).expect("valid");
-        for &t in &targets {
-            assert!(path.contains(t));
-        }
-    }
-
-    #[test]
-    fn conflicting_targets_are_rejected() {
-        // In fig2, B and C are on mutually exclusive mux branches.
-        let rsn = fig2();
-        let b = rsn.find("B").expect("B");
-        let c = rsn.find("C").expect("C");
-        let err = rsn
-            .plan_group_access(&[b, c], &rsn.reset_config())
-            .unwrap_err();
-        assert!(matches!(err, Error::AccessPlanFailed { .. }));
-    }
-
-    #[test]
-    fn single_target_group_matches_plan_access() {
-        let rsn = sib_tree(1, 2, 3);
-        for seg in rsn.segments() {
-            let single = rsn.plan_access(seg, &rsn.reset_config()).expect("single");
-            let group = rsn
-                .plan_group_access(&[seg], &rsn.reset_config())
-                .expect("group");
-            assert_eq!(group.csu_count(), single.csu_count() + 1);
-        }
-    }
+    use crate::examples::{chain, sib_tree};
 
     #[test]
     fn chain_latency_is_uniform() {
@@ -337,15 +92,5 @@ mod tests {
         let report = rsn.latency_report();
         assert_eq!(report.per_segment.len(), rsn.segments().count());
         assert!(report.per_segment.iter().all(|&(_, c)| c.is_some()));
-    }
-
-    #[test]
-    fn group_plan_rejects_non_segment() {
-        let rsn = fig2();
-        let m = rsn.find("M").expect("mux");
-        assert!(matches!(
-            rsn.plan_group_access(&[m], &rsn.reset_config()),
-            Err(Error::WrongNodeKind { .. })
-        ));
     }
 }

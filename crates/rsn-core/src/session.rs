@@ -19,15 +19,16 @@
 //! let leaf = rsn.find("t00.seg").expect("leaf");
 //! let mut session = AccessSession::new(&rsn);
 //! session.write(leaf, &[true, false, true, true])?;
-//! let (value, _cycles) = session.read(leaf)?;
+//! let (value, _cycles) = session.read(leaf, &|_| None)?;
 //! assert_eq!(value, vec![true, false, true, true]);
 //! # Ok::<(), rsn_core::Error>(())
 //! ```
 
 use crate::config::Config;
-use crate::csu::SimState;
-use crate::error::{Error, Result};
-use crate::network::{NodeId, NodeKind, Rsn};
+use crate::csu::{csu_cycles, SimState};
+use crate::error::Result;
+use crate::expr::InputId;
+use crate::network::{NodeId, Rsn};
 
 /// A stateful access session over one RSN.
 #[derive(Debug, Clone)]
@@ -64,55 +65,32 @@ impl<'a> AccessSession<'a> {
         self.accesses
     }
 
-    /// Applies the CSU series of a plan: each step writes the next
-    /// configuration into the on-path registers.
-    fn apply_steps(&mut self, steps: &[Config]) -> Result<()> {
-        for step in steps {
-            let path = self.rsn.trace_path(&self.state.config)?;
-            let segs: Vec<NodeId> = path
-                .nodes()
-                .iter()
-                .copied()
-                .filter(|&n| matches!(self.rsn.node(n).kind(), NodeKind::Segment(_)))
-                .collect();
-            let total: usize = segs
-                .iter()
-                .map(|&s| self.state.shift_register(s).len())
-                .sum();
-            let mut stream = vec![false; total];
-            let mut pos = 0usize;
-            for &s in &segs {
-                let len = self.state.shift_register(s).len();
-                for i in 0..len {
-                    let bit = match self.rsn.shadow_offset(s) {
-                        Some(off) => step.bit((off + i as u32) as usize),
-                        None => false,
-                    };
-                    stream[total - 1 - (pos + i)] = bit;
-                }
-                pos += len;
-            }
-            self.rsn.csu(&mut self.state, &stream, &|_| None)?;
-            // Propagate planned primary-input values.
-            for i in 0..step.num_inputs() {
-                let id = crate::expr::InputId(i as u32);
-                self.state.config.set_input(id, step.input(id));
-            }
-            self.cycles += total as u64 + 2;
-        }
-        Ok(())
-    }
-
-    /// Routes the scan path to `target` (planning from the current
-    /// configuration) and returns the setup cycles spent.
+    /// Routes the scan path to `target`: plans from the current
+    /// configuration and executes the plan's CSU series, each CSU writing
+    /// the next configuration into the on-path registers. Returns the
+    /// setup cycles spent.
     ///
     /// # Errors
     ///
     /// Propagates planning and CSU errors.
     pub fn navigate(&mut self, target: NodeId) -> Result<u64> {
+        let rsn = self.rsn;
         let before = self.cycles;
-        let plan = self.rsn.plan_access(target, &self.state.config)?;
-        self.apply_steps(&plan.steps)?;
+        let plan = rsn.plan_access(target, &self.state.config)?;
+        for step in &plan.steps {
+            let path = rsn.trace_path(&self.state.config)?;
+            let stream = rsn.scan_in_stream(&path, |s, i| {
+                rsn.shadow_offset(s)
+                    .is_some_and(|off| step.bit(off as usize + i))
+            });
+            rsn.csu(&mut self.state, &stream, &|_| None)?;
+            // Propagate planned primary-input values.
+            for i in 0..step.num_inputs() {
+                let id = InputId(i as u32);
+                self.state.config.set_input(id, step.input(id));
+            }
+            self.cycles += csu_cycles(&path, rsn);
+        }
         Ok(self.cycles - before)
     }
 
@@ -121,88 +99,39 @@ impl<'a> AccessSession<'a> {
     ///
     /// # Errors
     ///
-    /// [`Error::WrongNodeKind`] for non-segments, planning errors, or a
-    /// length mismatch reported by the simulator.
+    /// [`Error::WrongNodeKind`](crate::Error::WrongNodeKind) for
+    /// non-segments, planning errors, or a length mismatch reported by
+    /// the simulator.
     pub fn write(&mut self, target: NodeId, value: &[bool]) -> Result<u64> {
         let before = self.cycles;
         self.navigate(target)?;
         let outcome = self.rsn.csu_write(&mut self.state, target, value)?;
-        self.cycles += outcome.path.shift_length(self.rsn) + 2;
+        self.cycles += csu_cycles(&outcome.path, self.rsn);
         self.accesses += 1;
         Ok(self.cycles - before)
     }
 
-    /// Reads the target segment's current register value (as captured from
-    /// the segment itself), navigating there first. Returns the bits and
-    /// the cycles spent.
+    /// Reads the target segment, navigating there first: one CSU captures
+    /// `capture_data(seg)` into every on-path segment with capture enabled
+    /// (`None` leaves a register as it is, so `&|_| None` reads back the
+    /// target's current value) and shifts the path out. Returns the
+    /// target's bits and the cycles spent.
     ///
     /// # Errors
     ///
     /// Same conditions as [`AccessSession::write`].
-    pub fn read(&mut self, target: NodeId) -> Result<(Vec<bool>, u64)> {
-        let before = self.cycles;
-        self.navigate(target)?;
-        let shift_len = {
-            let path = self.rsn.trace_path(&self.state.config)?;
-            path.shift_length(self.rsn)
-        };
-        let current = self.state.shift_register(target).to_vec();
-        let bits = self.rsn.csu_read(&mut self.state, target, &move |seg| {
-            (seg == target).then(|| current.clone())
-        })?;
-        self.cycles += shift_len + 2;
-        self.accesses += 1;
-        Ok((bits, self.cycles - before))
-    }
-
-    /// Reads instrument data captured into the target segment (the
-    /// `capture_data` closure supplies per-segment instrument values).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AccessSession::read`].
-    pub fn read_instrument(
+    pub fn read(
         &mut self,
         target: NodeId,
         capture_data: &dyn Fn(NodeId) -> Option<Vec<bool>>,
     ) -> Result<(Vec<bool>, u64)> {
         let before = self.cycles;
         self.navigate(target)?;
-        let shift_len = {
-            let path = self.rsn.trace_path(&self.state.config)?;
-            path.shift_length(self.rsn)
-        };
+        let path = self.rsn.trace_path(&self.state.config)?;
         let bits = self.rsn.csu_read(&mut self.state, target, capture_data)?;
-        self.cycles += shift_len + 2;
+        self.cycles += csu_cycles(&path, self.rsn);
         self.accesses += 1;
         Ok((bits, self.cycles - before))
-    }
-
-    /// Resolves a segment by name and writes to it.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::AccessPlanFailed`] with an explanatory reason when the
-    /// name does not exist, plus all [`AccessSession::write`] conditions.
-    pub fn write_by_name(&mut self, name: &str, value: &[bool]) -> Result<u64> {
-        let id = self.rsn.find(name).ok_or_else(|| Error::AccessPlanFailed {
-            target: self.rsn.scan_out(),
-            reason: format!("no segment named {name:?}"),
-        })?;
-        self.write(id, value)
-    }
-
-    /// Resolves a segment by name and reads it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AccessSession::write_by_name`].
-    pub fn read_by_name(&mut self, name: &str) -> Result<(Vec<bool>, u64)> {
-        let id = self.rsn.find(name).ok_or_else(|| Error::AccessPlanFailed {
-            target: self.rsn.scan_out(),
-            reason: format!("no segment named {name:?}"),
-        })?;
-        self.read(id)
     }
 }
 
@@ -218,7 +147,7 @@ mod tests {
         let mut session = AccessSession::new(&rsn);
         let pattern = [true, true, false, true];
         session.write(leaf, &pattern).expect("write");
-        let (value, _) = session.read(leaf).expect("read");
+        let (value, _) = session.read(leaf, &|_| None).expect("read");
         assert_eq!(value, pattern.to_vec());
         assert_eq!(session.accesses(), 2);
     }
@@ -262,7 +191,7 @@ mod tests {
         let leaf = rsn.find("t10.seg").expect("leaf");
         let mut session = AccessSession::new(&rsn);
         let (bits, _) = session
-            .read_instrument(leaf, &move |seg| {
+            .read(leaf, &move |seg| {
                 (seg == leaf).then(|| vec![true, false, true])
             })
             .expect("read");
@@ -270,28 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn by_name_helpers_resolve_and_reject() {
-        let rsn = sib_tree(1, 2, 2);
-        let mut session = AccessSession::new(&rsn);
-        session
-            .write_by_name("t00.seg", &[true, true])
-            .expect("write");
-        let (v, _) = session.read_by_name("t00.seg").expect("read");
-        assert_eq!(v, vec![true, true]);
-        assert!(session.write_by_name("nope", &[true]).is_err());
-    }
-
-    #[test]
     fn session_cycles_accumulate() {
         let rsn = sib_tree(1, 2, 4);
         let mut session = AccessSession::new(&rsn);
         assert_eq!(session.cycles(), 0);
-        session
-            .write_by_name("t00.seg", &[false; 4])
-            .expect("write");
+        let near = rsn.find("t00.seg").expect("leaf");
+        session.write(near, &[false; 4]).expect("write");
         let after_write = session.cycles();
         assert!(after_write > 0);
-        session.read_by_name("t11.seg").expect("read");
+        let far = rsn.find("t11.seg").expect("leaf");
+        session.read(far, &|_| None).expect("read");
         assert!(session.cycles() > after_write);
     }
 }

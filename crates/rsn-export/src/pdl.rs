@@ -1,11 +1,10 @@
 //! IEEE 1687 PDL (Procedural Description Language) emission.
 //!
-//! Turns computed access plans into the `iWrite`/`iRead`/`iApply` command
-//! sequences a 1687 retargeting tool would replay on the tester: each CSU
-//! of the plan becomes one `iApply` preceded by the register writes that
-//! CSU performs. This is the executable counterpart of the paper's access
-//! computation — including access in *faulty* networks, where the plan
-//! routes around the fault site.
+//! Turns fault-free access plans ([`Rsn::plan_access`]) into the
+//! `iWrite`/`iRead`/`iApply` command sequences a 1687 retargeting tool
+//! would replay on the tester: each CSU of the plan becomes one `iApply`
+//! preceded by the register writes that CSU performs. This is the
+//! executable counterpart of the paper's access computation.
 
 use std::fmt::Write as _;
 
@@ -50,7 +49,9 @@ fn emit_diff(rsn: &Rsn, out: &mut String, prev: &Config, next: &Config) {
 }
 
 /// Emits a PDL procedure performing a *write* access per the plan: the
-/// setup CSUs followed by the data write.
+/// setup CSUs followed by the data write. `from` is the configuration the
+/// plan starts from; each setup CSU writes the registers that differ from
+/// the configuration before it.
 ///
 /// # Example
 ///
@@ -60,50 +61,50 @@ fn emit_diff(rsn: &Rsn, out: &mut String, prev: &Config, next: &Config) {
 ///
 /// let rsn = sib_tree(1, 2, 4);
 /// let leaf = rsn.find("t00.seg").expect("leaf");
-/// let plan = rsn.plan_access(leaf, &rsn.reset_config())?;
-/// let pdl = write_access_pdl(&rsn, &plan, &[true, false, true, true]);
+/// let reset = rsn.reset_config();
+/// let plan = rsn.plan_access(leaf, &reset)?;
+/// let pdl = write_access_pdl(&rsn, &plan, &reset, &[true, false, true, true]);
 /// assert!(pdl.contains("iApply;"));
 /// assert!(pdl.contains("iWrite t00_seg 4'b1101;"));
 /// # Ok::<(), rsn_core::Error>(())
 /// ```
-pub fn write_access_pdl(rsn: &Rsn, plan: &AccessPlan, value: &[bool]) -> String {
-    let mut out = String::new();
+pub fn write_access_pdl(rsn: &Rsn, plan: &AccessPlan, from: &Config, value: &[bool]) -> String {
     let target = ident(rsn.node(plan.target).name());
-    let _ = writeln!(out, "iProcGroup {};", ident(rsn.name()));
-    let _ = writeln!(out, "iProc write_{target} {{}} {{");
-    let mut prev = rsn.reset_config();
-    for step in &plan.steps {
-        emit_diff(rsn, &mut out, &prev, step);
-        let _ = writeln!(out, "    iApply;");
-        prev = step.clone();
-    }
-    let _ = writeln!(out, "    iWrite {target} {};", bin_literal(value));
-    let _ = writeln!(out, "    iApply;");
-    let _ = writeln!(out, "}}");
-    out
+    let data = format!("iWrite {target} {}", bin_literal(value));
+    access_pdl(rsn, plan, from, "write", &data)
 }
 
 /// Emits a PDL procedure performing a *read* access per the plan: setup
-/// CSUs, then a read with an optional expected value.
-pub fn read_access_pdl(rsn: &Rsn, plan: &AccessPlan, expect: Option<&[bool]>) -> String {
+/// CSUs (as for [`write_access_pdl`]), then a read with an optional
+/// expected value.
+pub fn read_access_pdl(
+    rsn: &Rsn,
+    plan: &AccessPlan,
+    from: &Config,
+    expect: Option<&[bool]>,
+) -> String {
+    let target = ident(rsn.node(plan.target).name());
+    let data = match expect {
+        Some(bits) => format!("iRead {target} {}", bin_literal(bits)),
+        None => format!("iRead {target}"),
+    };
+    access_pdl(rsn, plan, from, "read", &data)
+}
+
+/// The procedure `<kind>_<target>`: one `iApply` per setup CSU, preceded
+/// by its register writes, then the `data` command and its `iApply`.
+fn access_pdl(rsn: &Rsn, plan: &AccessPlan, from: &Config, kind: &str, data: &str) -> String {
     let mut out = String::new();
     let target = ident(rsn.node(plan.target).name());
     let _ = writeln!(out, "iProcGroup {};", ident(rsn.name()));
-    let _ = writeln!(out, "iProc read_{target} {{}} {{");
-    let mut prev = rsn.reset_config();
+    let _ = writeln!(out, "iProc {kind}_{target} {{}} {{");
+    let mut prev = from;
     for step in &plan.steps {
-        emit_diff(rsn, &mut out, &prev, step);
+        emit_diff(rsn, &mut out, prev, step);
         let _ = writeln!(out, "    iApply;");
-        prev = step.clone();
+        prev = step;
     }
-    match expect {
-        Some(bits) => {
-            let _ = writeln!(out, "    iRead {target} {};", bin_literal(bits));
-        }
-        None => {
-            let _ = writeln!(out, "    iRead {target};");
-        }
-    }
+    let _ = writeln!(out, "    {data};");
     let _ = writeln!(out, "    iApply;");
     let _ = writeln!(out, "}}");
     out
@@ -118,8 +119,9 @@ mod tests {
     fn chain_write_needs_single_apply_pair() {
         let rsn = chain(3, 4);
         let s1 = rsn.find("S1").expect("segment");
-        let plan = rsn.plan_access(s1, &rsn.reset_config()).expect("plan");
-        let pdl = write_access_pdl(&rsn, &plan, &[true; 4]);
+        let reset = rsn.reset_config();
+        let plan = rsn.plan_access(s1, &reset).expect("plan");
+        let pdl = write_access_pdl(&rsn, &plan, &reset, &[true; 4]);
         assert_eq!(pdl.matches("iApply;").count(), 1, "{pdl}");
         assert!(pdl.contains("iWrite S1 4'b1111;"));
     }
@@ -128,8 +130,9 @@ mod tests {
     fn nested_target_opens_hierarchy_first() {
         let rsn = sib_tree(2, 2, 4);
         let leaf = rsn.find("t000.seg").expect("leaf");
-        let plan = rsn.plan_access(leaf, &rsn.reset_config()).expect("plan");
-        let pdl = write_access_pdl(&rsn, &plan, &[false, true, false, true]);
+        let reset = rsn.reset_config();
+        let plan = rsn.plan_access(leaf, &reset).expect("plan");
+        let pdl = write_access_pdl(&rsn, &plan, &reset, &[false, true, false, true]);
         // Two hierarchy levels: two setup applies + the data apply.
         assert_eq!(pdl.matches("iApply;").count(), 3, "{pdl}");
         assert!(pdl.contains("iWrite t0_sib 1'b1;"), "{pdl}");
@@ -141,11 +144,33 @@ mod tests {
     fn read_pdl_emits_iread_with_expectation() {
         let rsn = sib_tree(1, 2, 2);
         let leaf = rsn.find("t10.seg").expect("leaf");
-        let plan = rsn.plan_access(leaf, &rsn.reset_config()).expect("plan");
-        let pdl = read_access_pdl(&rsn, &plan, Some(&[true, false]));
+        let reset = rsn.reset_config();
+        let plan = rsn.plan_access(leaf, &reset).expect("plan");
+        let pdl = read_access_pdl(&rsn, &plan, &reset, Some(&[true, false]));
         assert!(pdl.contains("iRead t10_seg 2'b01;"), "{pdl}");
-        let pdl = read_access_pdl(&rsn, &plan, None);
+        let pdl = read_access_pdl(&rsn, &plan, &reset, None);
         assert!(pdl.contains("iRead t10_seg;"), "{pdl}");
+    }
+
+    #[test]
+    fn setup_writes_diff_against_the_plan_start() {
+        // Plan from a configuration with t0.sib already open: only t00.sib
+        // still needs opening, and t0.sib is not written again.
+        let rsn = sib_tree(2, 2, 4);
+        let leaf = rsn.find("t000.seg").expect("leaf");
+        let t0 = rsn.find("t0.sib").expect("sib");
+        let mut from = rsn.reset_config();
+        from.set_bit(rsn.shadow_offset(t0).expect("shadow") as usize, true);
+        let plan = rsn.plan_access(leaf, &from).expect("plan");
+        assert_eq!(plan.csu_count(), 1);
+        for pdl in [
+            write_access_pdl(&rsn, &plan, &from, &[false; 4]),
+            read_access_pdl(&rsn, &plan, &from, None),
+        ] {
+            assert_eq!(pdl.matches("iApply;").count(), 2, "{pdl}");
+            assert!(pdl.contains("iWrite t00_sib 1'b1;"), "{pdl}");
+            assert!(!pdl.contains("t0_sib"), "{pdl}");
+        }
     }
 
     #[test]

@@ -41,49 +41,27 @@ impl FaultyAccessPlan {
     }
 }
 
-/// Evaluates a mux address under a configuration with forced bits applied.
+/// Evaluates a mux address under a configuration with forced bits applied
+/// (the planner drives primary inputs low). `None` if the address is out
+/// of range.
 fn decode_addr(rsn: &Rsn, cfg: &Config, effect: &FaultEffect, mux: NodeId) -> Option<usize> {
     if let Some(&k) = effect.forced_mux.get(&mux) {
         return Some(k);
     }
     let m = rsn.node(mux).as_mux()?;
+    let mut reg = |n: NodeId, bit: u32| match effect.forced_bits.get(&(n, bit)) {
+        Some(&v) => v,
+        // `RsnBuilder::finish` rejects register references without a
+        // shadow bit.
+        None => cfg.bit((rsn.shadow_offset(n).expect("validated reference") + bit) as usize),
+    };
     let mut addr = 0usize;
     for (i, e) in m.addr_bits.iter().enumerate() {
-        let v = eval_forced(rsn, cfg, effect, e)?;
-        if v {
+        if e.eval_with(&mut reg, &mut |_| false) {
             addr |= 1 << i;
         }
     }
     (addr < m.inputs.len()).then_some(addr)
-}
-
-fn eval_forced(rsn: &Rsn, cfg: &Config, effect: &FaultEffect, e: &ControlExpr) -> Option<bool> {
-    Some(match e {
-        ControlExpr::Const(b) => *b,
-        ControlExpr::Reg(n, bit) => match effect.forced_bits.get(&(*n, *bit)) {
-            Some(&v) => v,
-            None => {
-                let off = rsn.shadow_offset(*n)?;
-                cfg.bit((off + *bit) as usize)
-            }
-        },
-        ControlExpr::Input(_) => false, // planner drives inputs low
-        ControlExpr::Not(inner) => !eval_forced(rsn, cfg, effect, inner)?,
-        ControlExpr::And(es) => {
-            let mut acc = true;
-            for x in es {
-                acc &= eval_forced(rsn, cfg, effect, x)?;
-            }
-            acc
-        }
-        ControlExpr::Or(es) => {
-            let mut acc = false;
-            for x in es {
-                acc |= eval_forced(rsn, cfg, effect, x)?;
-            }
-            acc
-        }
-    })
 }
 
 /// Traces the structural path under the fault and configuration.

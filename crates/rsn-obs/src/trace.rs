@@ -11,7 +11,7 @@
 //! new events are dropped (never the recorded prefix — span begin/end
 //! pairing of the retained prefix stays intact) and counted in
 //! [`TraceThread::dropped`]. Capacity is [`DEFAULT_TRACE_CAP`] events per
-//! thread, overridable once at first use via `RSN_TRACE_CAP`.
+//! thread.
 //!
 //! Timestamps are nanoseconds since a process-global epoch (first trace
 //! use), monotone per thread. Thread ids are small sequential integers
@@ -96,7 +96,6 @@ const UNINIT: u8 = u8::MAX;
 static ENABLED: AtomicU8 = AtomicU8::new(UNINIT);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static CAP: OnceLock<usize> = OnceLock::new();
 static SINKS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
 
 thread_local! {
@@ -105,16 +104,6 @@ thread_local! {
 
 fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
-}
-
-fn capacity() -> usize {
-    *CAP.get_or_init(|| {
-        std::env::var("RSN_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_TRACE_CAP)
-    })
 }
 
 /// `true` while event tracing is on. One relaxed atomic load; every
@@ -158,7 +147,7 @@ fn with_ring(f: impl FnOnce(&mut Ring)) {
 pub(crate) fn emit(name: &'static str, kind: TraceEventKind) {
     let ts_ns = epoch().elapsed().as_nanos() as u64;
     with_ring(|ring| {
-        if ring.events.len() >= capacity() {
+        if ring.events.len() >= DEFAULT_TRACE_CAP {
             ring.dropped += 1;
         } else {
             ring.events.push(TraceEvent { name, kind, ts_ns });

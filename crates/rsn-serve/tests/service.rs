@@ -176,6 +176,30 @@ fn synth_reports_the_network_it_cached() {
 }
 
 #[test]
+fn synth_accepts_a_synthesized_network() {
+    // `"synthesize": true` hands /synth an FT network that already has
+    // secondary ports; synthesizing it again keeps them.
+    let (addr, handle, thread) = start(1);
+    let (status, body) = request_json(
+        addr,
+        "POST",
+        "/synth",
+        r#"{"soc": "u226", "synthesize": true}"#,
+    );
+    assert_eq!(status, 200, "{body:?}");
+    let added = body
+        .get("report")
+        .and_then(|r| r.get("added_edges"))
+        .and_then(Json::as_f64);
+    assert!(added.is_some_and(|n| n > 0.0), "{body:?}");
+    assert_eq!(
+        body.get("network").and_then(Json::as_str),
+        Some("u226_ft_ft")
+    );
+    shutdown(handle, thread);
+}
+
+#[test]
 fn oversized_networks_are_refused_before_they_are_built() {
     let (addr, handle, thread) = start(2);
     for spec in [

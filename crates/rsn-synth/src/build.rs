@@ -1,16 +1,14 @@
 //! Final synthesis of the fault-tolerant RSN (paper Sec. III-E).
 //!
-//! Given the augmenting edge set, this module rebuilds the network:
+//! Given the augmenting edge set, this module edits a copy of the network
+//! ([`Rsn::into_builder`]); every original node keeps its id:
 //!
 //! 1. **Integration of the augmenting edges** — every added dataflow edge
 //!    `(i, j)` becomes a 2:1 scan multiplexer in front of `j`, whose
-//!    secondary input is driven by vertex `i` through a new 1-bit address
-//!    register. The address register sits *on the secondary edge* and the
-//!    multiplexer selects the secondary input while the register holds its
-//!    reset value 0 — this makes the register writable from reset (it is
-//!    on the reset scan path) and keeps every *original* scan path at its
-//!    original length (the register is bypassed once the original route is
-//!    configured), preserving the paper's access-latency guarantee.
+//!    secondary input is driven by vertex `i`. Its address is the XOR of
+//!    two routing bits appended to different registers; both reset to 0,
+//!    so the multiplexer selects its original input and the reset scan
+//!    path is exactly the original one.
 //! 2. **Hardening of select signals** — selects are re-derived from the
 //!    recursive rules of Sec. III-E-2 ([`crate::select`]); with at least
 //!    two outgoing edges per vertex, every select has two independent
@@ -21,6 +19,7 @@
 //! 4. **Secondary scan ports** — a secondary scan-in drives every
 //!    successor of the primary scan-in through port multiplexers, and a
 //!    secondary scan-out taps the predecessors of the primary scan-out.
+//!    A port the input network already has is kept and not added again.
 //!
 //! The augmenting edge set comes from [`augment_greedy`]. On the 13
 //! embedded SoCs it picks the same edges as the paper's exact ILP
@@ -124,22 +123,11 @@ pub struct SynthesisResult {
     pub augmentation: Augmentation,
 }
 
-fn remap_expr(e: &ControlExpr, map: &[NodeId]) -> ControlExpr {
-    match e {
-        ControlExpr::Const(b) => ControlExpr::Const(*b),
-        ControlExpr::Reg(n, bit) => ControlExpr::Reg(map[n.index()], *bit),
-        ControlExpr::Input(i) => ControlExpr::Input(*i),
-        ControlExpr::Not(inner) => !remap_expr(inner, map),
-        ControlExpr::And(es) => ControlExpr::And(es.iter().map(|x| remap_expr(x, map)).collect()),
-        ControlExpr::Or(es) => ControlExpr::Or(es.iter().map(|x| remap_expr(x, map)).collect()),
-    }
-}
-
 /// Synthesizes a fault-tolerant RSN from an original network.
 ///
 /// # Errors
 ///
-/// Returns the structural [`rsn_core::Error`] if the rebuilt network does
+/// Returns the structural [`rsn_core::Error`] if the edited network does
 /// not validate.
 ///
 /// # Example
@@ -168,81 +156,12 @@ pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult>
 
     let build_span = root.child("build");
     let build_start = std::time::Instant::now();
-    // 1. Rebuild the original structure (which may itself already be a
-    // fault-tolerant network with secondary ports and control inputs).
-    let mut b = RsnBuilder::new(format!("{}_ft", rsn.name()));
-    b.add_inputs(rsn.num_inputs());
-    let mut map: Vec<NodeId> = vec![NodeId(u32::MAX); rsn.node_count()];
-    map[rsn.scan_in().index()] = b.scan_in();
-    map[rsn.scan_out().index()] = b.scan_out();
-    for id in rsn.node_ids() {
-        match rsn.node(id).kind() {
-            NodeKind::ScanIn if id != rsn.scan_in() => {
-                map[id.index()] = b.add_secondary_scan_in(rsn.node(id).name());
-            }
-            NodeKind::ScanOut if id != rsn.scan_out() => {
-                map[id.index()] = b.add_secondary_scan_out(rsn.node(id).name());
-            }
-            NodeKind::ScanIn | NodeKind::ScanOut => {}
-            NodeKind::Segment(s) => {
-                let new = if s.has_shadow {
-                    b.add_segment(rsn.node(id).name(), s.length)
-                } else {
-                    b.add_readonly_segment(rsn.node(id).name(), s.length)
-                };
-                map[id.index()] = new;
-            }
-            NodeKind::Mux(_) => {
-                // Inputs and addresses may reference nodes created later in
-                // the arena (re-synthesized networks); both are remapped in
-                // the second pass. Placeholders keep the builder happy.
-                let new = b.add_mux(
-                    rsn.node(id).name(),
-                    vec![b.scan_in(), b.scan_in()],
-                    vec![ControlExpr::FALSE],
-                );
-                map[id.index()] = new;
-            }
-        }
-    }
-    // Second pass: connections, addresses, disables, reset values.
-    for id in rsn.node_ids() {
-        let new = map[id.index()];
-        match rsn.node(id).kind() {
-            NodeKind::Segment(s) => {
-                let src = rsn.node(id).source().expect("validated network");
-                b.connect(map[src.index()], new);
-                b.set_update_disable(new, remap_expr(&s.update_disable, &map));
-                // Selects are re-derived later; keep original as fallback.
-                b.set_select(new, remap_expr(&s.select, &map));
-            }
-            NodeKind::ScanOut => {
-                if let Some(src) = rsn.node(id).source() {
-                    b.connect(map[src.index()], new);
-                }
-            }
-            NodeKind::Mux(m) => {
-                let inputs: Vec<NodeId> = m.inputs.iter().map(|&i| map[i.index()]).collect();
-                b.set_mux_inputs(new, inputs);
-                let addr: Vec<ControlExpr> =
-                    m.addr_bits.iter().map(|e| remap_expr(e, &map)).collect();
-                b.set_mux_addr_bits(new, addr);
-            }
-            NodeKind::ScanIn => {}
-        }
-    }
-    // Reset values of original shadow registers.
-    let reset = rsn.reset_config();
-    for id in rsn.segments() {
-        if let Some(off) = rsn.shadow_offset(id) {
-            for bit in 0..rsn.shadow_len(id) {
-                let v = reset.bit((off + bit) as usize);
-                if v {
-                    b.set_reset_bit(map[id.index()], bit, true);
-                }
-            }
-        }
-    }
+    // 1. Start from a copy of the original (which may itself already be
+    // a fault-tolerant network with secondary ports and control inputs).
+    // Every original node keeps its id, so dataflow vertices name builder
+    // nodes directly.
+    let mut b = rsn.clone().into_builder();
+    b.set_name(format!("{}_ft", rsn.name()));
 
     // 2. Integrate augmenting edges. Each added edge (i, j) becomes a 2:1
     // mux in front of j. The address is the XOR of two routing bits kept
@@ -299,7 +218,7 @@ pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult>
     for id in rsn.node_ids() {
         let extra = routing_extra[id.index()];
         if extra > 0 {
-            b.extend_segment(map[id.index()], extra);
+            b.extend_segment(id, extra);
             report.added_bits += extra as u64;
         }
     }
@@ -325,7 +244,7 @@ pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult>
             Some(o) => {
                 let bit = next_bit[o.index()];
                 next_bit[o.index()] += 1;
-                ControlExpr::reg(map[o.index()], bit)
+                ControlExpr::reg(o, bit)
             }
             None => {
                 let input = b.add_inputs(1);
@@ -334,8 +253,8 @@ pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult>
         }
     };
     for (k, &(vi, vj)) in augmentation.added.iter().enumerate() {
-        let src = map[df.vertex_node[vi].index()];
-        let tgt = map[df.vertex_node[vj].index()];
+        let src = df.vertex_node[vi];
+        let tgt = df.vertex_node[vj];
         let current_driver = b.node(tgt).source().expect("target has a driver");
         let (oa, ob) = owners[k];
         let bit_a = take_bit(oa, &mut b);
@@ -355,7 +274,7 @@ pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult>
     // inputs (external port-select pins; the paper excludes faults on such
     // global control signals, and the nets are TMR-hardened like every
     // other address).
-    if opts.secondary_ports {
+    if opts.secondary_ports && rsn.secondary_scan_in().is_none() {
         let si2 = b.add_secondary_scan_in("scan_in2");
         let port_sel_in = b.add_inputs(1);
         // Successors of the primary scan-in (structural consumers).
@@ -372,6 +291,8 @@ pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult>
             b.connect(m, cons);
             report.added_muxes += 1;
         }
+    }
+    if opts.secondary_ports && rsn.secondary_scan_out().is_none() {
         // Secondary scan-out fed by *every* dataflow predecessor of the
         // sink (paper Sec. III-E-4: each predecessor of the primary
         // scan-out port is connected to the secondary port via
@@ -384,14 +305,14 @@ pub fn synthesize(rsn: &Rsn, opts: &SynthesisOptions) -> Result<SynthesisResult>
             .graph
             .predecessors(df.sink)
             .iter()
-            .map(|&p| map[df.vertex_node[p].index()])
+            .map(|&p| df.vertex_node[p])
             .collect();
         taps.extend(
             augmentation
                 .added
                 .iter()
                 .filter(|&&(_, j)| j == df.sink)
-                .map(|&(i, _)| map[df.vertex_node[i].index()]),
+                .map(|&(i, _)| df.vertex_node[i]),
         );
         taps.sort_unstable();
         taps.dedup();
@@ -638,6 +559,39 @@ mod tests {
         let result = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
         let vreport = rsn_verify::verify_with(&result.rsn, result.report.verify_options());
         assert!(vreport.is_clean(), "{}", vreport.render());
+    }
+
+    #[test]
+    fn ft_fingerprints_are_pinned() {
+        // Synthesis edits a copy of its input; these pins fail if that
+        // copy, or anything synthesis adds, changes the network.
+        let u226 = generate(&by_name("u226").expect("embedded")).expect("generate");
+        for (rsn, pinned) in [
+            (fig2(), 0x4fa9_e87c_2e18_f4bd),
+            (u226, 0xd171_1ec9_ec98_110b),
+        ] {
+            let ft = synthesize(&rsn, &SynthesisOptions::new()).expect("synthesize");
+            assert_eq!(ft.rsn.fingerprint(), pinned, "{}", rsn.name());
+        }
+    }
+
+    #[test]
+    fn synthesized_networks_synthesize_again() {
+        let u226 = generate(&by_name("u226").expect("embedded")).expect("generate");
+        for rsn in [fig2(), u226] {
+            let opts = SynthesisOptions::new();
+            let first = synthesize(&rsn, &opts).expect("first round");
+            let second = synthesize(&first.rsn, &opts).expect("second round");
+            assert!(second.report.added_edges > 0, "{}", rsn.name());
+            // Every node of the first round keeps its id and name.
+            for id in first.rsn.node_ids() {
+                assert_eq!(second.rsn.node(id).name(), first.rsn.node(id).name());
+            }
+            // The first round's secondary ports are kept, not added again.
+            let port = |r: &Rsn| r.secondary_scan_in().map(|p| r.node(p).name().to_string());
+            assert_eq!(port(&second.rsn), port(&first.rsn));
+            assert_eq!(second.rsn.name(), format!("{}_ft_ft", rsn.name()));
+        }
     }
 
     #[test]
